@@ -14,12 +14,22 @@
 //! Segment targets of 64 KiB and 4 MiB bracket the roll frequency. The
 //! interesting ratio is memfs vs memory (protocol overhead) and stdfs vs
 //! memfs (the price of real fsyncs).
+//!
+//! Two layers of that protocol are also timed alone:
+//!
+//! * `crc32/1mib` — the frame checksum over 1 MiB, also printed as MB/s;
+//! * `dedup/encode-26k-{new,dup}` — `ChunkIndex` part encoding of one
+//!   full checkpoint of 26 000 objects (one chunk each): all chunks new
+//!   (every one is staged), then the same frame against an index that
+//!   already holds them (every one becomes a back-reference).
 
 use ickp_bench::BenchGroup;
-use ickp_core::{CheckpointConfig, MethodTable};
+use ickp_core::{object_slices, CheckpointConfig, MethodTable};
 use ickp_core::{CheckpointRecord, CheckpointStore, Checkpointer};
-use ickp_durable::{DurableConfig, DurableStore, MemFs, StdFs};
+use ickp_durable::dedup::{ChunkIndex, Staging};
+use ickp_durable::{crc32, DurableConfig, DurableStore, MemFs, StdFs};
 use ickp_synth::{ModificationSpec, SynthConfig, SynthWorld};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// A realistic record stream: one full base plus incremental rounds.
@@ -44,6 +54,39 @@ fn build_records(rounds: usize) -> Vec<CheckpointRecord> {
         records.push(ckp.checkpoint(world.heap_mut(), &table, &roots).expect("checkpoint"));
     }
     records
+}
+
+/// One full checkpoint of 1 000 structures (26 000 objects) and the
+/// byte range of each object record in it: the dedup chunks of a
+/// replicated base commit.
+fn full_frame() -> (Vec<u8>, Vec<Range<usize>>) {
+    let mut world =
+        SynthWorld::build(SynthConfig { structures: 1_000, ..SynthConfig::paper(5, 10) })
+            .expect("world builds");
+    let roots = world.roots().to_vec();
+    let table = MethodTable::derive(world.heap().registry());
+    let mut ckp = Checkpointer::new(CheckpointConfig::full());
+    let record = ckp.checkpoint(world.heap_mut(), &table, &roots).expect("checkpoint");
+    let layout = object_slices(record.bytes(), world.heap().registry()).expect("layout");
+    (record.bytes().to_vec(), layout.objects)
+}
+
+/// Times `ChunkIndex` part encoding of `frame` against `index`, each
+/// iteration with a fresh batch staging (dropped outside the timing).
+fn time_encode(
+    index: &ChunkIndex,
+    (payload, ranges): &(Vec<u8>, Vec<Range<usize>>),
+    iters: u64,
+) -> Duration {
+    let mut total = Duration::ZERO;
+    for _ in 0..iters {
+        let mut staging = Staging::new();
+        let start = Instant::now();
+        let encoded = index.encode_batched(payload, ranges, &mut staging);
+        total += start.elapsed();
+        std::hint::black_box((encoded, staging));
+    }
+    total
 }
 
 /// Re-sequences `records` so iteration `i` of a timing loop can append
@@ -125,6 +168,23 @@ fn main() {
         });
     }
     let _ = std::fs::remove_dir_all(&dir);
+
+    let mut rng = ickp_prng::Prng::seed_from_u64(7);
+    let mib: Vec<u8> = (0..1 << 20).map(|_| rng.next_u32() as u8).collect();
+    if let Some(result) = group.bench("crc32/1mib", || crc32(std::hint::black_box(&mib))) {
+        let mb_per_s = mib.len() as f64 / 1e6 / result.median.as_secs_f64();
+        println!("{:<44} {mb_per_s:>12.0} MB/s", "durable_write/crc32/1mib");
+    }
+
+    let frame = full_frame();
+    println!("dedup frame: {} chunks in {} payload bytes", frame.1.len(), frame.0.len());
+    let empty = ChunkIndex::new();
+    group.bench_custom("dedup/encode-26k-new", |iters| time_encode(&empty, &frame, iters));
+    let mut full = ChunkIndex::new();
+    let mut staging = Staging::new();
+    full.encode_batched(&frame.0, &frame.1, &mut staging);
+    full.commit(staging);
+    group.bench_custom("dedup/encode-26k-dup", |iters| time_encode(&full, &frame, iters));
 
     group.finish();
 }

@@ -85,26 +85,67 @@ impl DedupStats {
     }
 }
 
-/// One frame payload encoded into parts, plus the chunks it would add
-/// to the index *if* the write is acknowledged. Nothing enters the index
-/// until [`ChunkIndex::commit`] — a failed append must not leave hashes
-/// that recovery cannot resolve.
-pub(crate) struct EncodedPayload {
+/// One frame payload encoded into parts. The chunks it introduces are
+/// recorded in the caller's [`Staging`], not here.
+#[derive(Debug)]
+pub struct EncodedPayload {
+    /// The stored frame payload: glue, indexed-literal and reference
+    /// parts, in payload order.
     pub stored: Vec<u8>,
-    pub staged: Vec<(u64, Vec<u8>)>,
+    /// Byte accounting for this frame.
     pub stats: DedupStats,
+}
+
+/// The chunks staged by the frames of one atomic write (a group-commit
+/// batch, a single append, or a whole rewrite), in staging order, with a
+/// hash lookup over them. Nothing enters the [`ChunkIndex`] until the
+/// write is acknowledged and the staging is handed to
+/// [`ChunkIndex::commit`] — a failed append must not leave hashes that
+/// recovery cannot resolve; dropping the staging discards them.
+#[derive(Debug, Default)]
+pub struct Staging {
+    chunks: Vec<(u64, Vec<u8>)>,
+    slots: HashMap<u64, usize>,
+}
+
+impl Staging {
+    /// An empty staging area.
+    pub fn new() -> Staging {
+        Staging::default()
+    }
+
+    /// Number of staged chunks.
+    pub(crate) fn len(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// What committing this staging adds to [`ChunkIndex::digest`]: the
+    /// wrapping sum of the staged hashes.
+    pub(crate) fn digest(&self) -> u64 {
+        self.chunks.iter().fold(0, |d, (hash, _)| d.wrapping_add(*hash))
+    }
+
+    fn get(&self, hash: u64) -> Option<&[u8]> {
+        self.slots.get(&hash).map(|&slot| self.chunks[slot].1.as_slice())
+    }
+
+    fn push(&mut self, hash: u64, bytes: &[u8]) {
+        self.slots.insert(hash, self.chunks.len());
+        self.chunks.push((hash, bytes.to_vec()));
+    }
 }
 
 /// The in-memory content-hash index over every indexed chunk in the
 /// committed frontier. Rebuilt from the segments on open; the manifest
 /// carries only a count + digest summary to cross-check the rebuild.
 #[derive(Debug, Default)]
-pub(crate) struct ChunkIndex {
+pub struct ChunkIndex {
     map: HashMap<u64, Vec<u8>>,
     digest: u64,
 }
 
 impl ChunkIndex {
+    /// An empty index.
     pub fn new() -> ChunkIndex {
         ChunkIndex::default()
     }
@@ -124,27 +165,30 @@ impl ChunkIndex {
     /// Encodes `payload` into parts. `ranges` are the dedup-candidate
     /// chunks (ascending, non-overlapping, in bounds — the slices
     /// `ickp_core::object_slices` reports); everything between them is
-    /// glue. Panics if `ranges` violates that contract: the caller hands
-    /// us slices of a stream it just validated.
-    pub fn encode(&self, payload: &[u8], ranges: &[Range<usize>]) -> EncodedPayload {
-        self.encode_batched(payload, ranges, &[])
-    }
-
-    /// [`ChunkIndex::encode`] with extra dedup context: `pending` holds
-    /// the chunks staged by *earlier frames of the same atomic batch*.
-    /// A reference may point at a pending chunk only because the whole
-    /// batch commits in one manifest swap — either every frame of the
-    /// batch is acknowledged (the referenced chunk is inside the
-    /// frontier, earlier in the scan order) or none is. References can
-    /// therefore never cross an un-acknowledged batch boundary.
+    /// glue.
+    ///
+    /// A chunk becomes a back-reference when its bytes are already in
+    /// the index or in `staging` — the chunks staged by this frame so
+    /// far and by *earlier frames of the same atomic write*. Every other
+    /// chunk is stored literally and, when new, pushed onto `staging`.
+    /// Both lookups are hashed, so a frame costs time linear in its
+    /// bytes. A reference may point at a staged chunk only because the
+    /// whole write commits in one manifest swap — either every frame of
+    /// it is acknowledged (the referenced chunk is inside the frontier,
+    /// earlier in the scan order) or none is. References can therefore
+    /// never cross an un-acknowledged batch boundary.
+    ///
+    /// # Panics
+    ///
+    /// If `ranges` violates its contract: the caller hands us slices of
+    /// a stream it just validated.
     pub fn encode_batched(
         &self,
         payload: &[u8],
         ranges: &[Range<usize>],
-        pending: &[(u64, Vec<u8>)],
+        staging: &mut Staging,
     ) -> EncodedPayload {
         let mut stored = Vec::with_capacity(payload.len() + LITERAL_OVERHEAD);
-        let mut staged: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut stats = DedupStats { bytes_in: payload.len() as u64, ..DedupStats::default() };
         let mut cursor = 0usize;
         let glue = |out: &mut Vec<u8>, bytes: &[u8]| {
@@ -163,12 +207,7 @@ impl ChunkIndex {
             let chunk = &payload[range.clone()];
             stats.chunks_total += 1;
             let hash = content_hash(chunk);
-            let known: Option<&[u8]> = self
-                .map
-                .get(&hash)
-                .map(Vec::as_slice)
-                .or_else(|| staged.iter().find(|(h, _)| *h == hash).map(|(_, b)| b.as_slice()))
-                .or_else(|| pending.iter().find(|(h, _)| *h == hash).map(|(_, b)| b.as_slice()));
+            let known = self.map.get(&hash).map(Vec::as_slice).or_else(|| staging.get(hash));
             match known {
                 // A hash hit only dedups when the bytes agree (collision
                 // safety) and the reference is no larger than the chunk.
@@ -182,7 +221,7 @@ impl ChunkIndex {
                 }
                 Some(_) => glue(&mut stored, chunk),
                 None => {
-                    staged.push((hash, chunk.to_vec()));
+                    staging.push(hash, chunk);
                     stored.push(PART_CHUNK);
                     stored.extend_from_slice(&(chunk.len() as u32).to_be_bytes());
                     stored.extend_from_slice(chunk);
@@ -194,12 +233,12 @@ impl ChunkIndex {
             glue(&mut stored, &payload[cursor..]);
         }
         stats.bytes_stored = stored.len() as u64;
-        EncodedPayload { stored, staged, stats }
+        EncodedPayload { stored, stats }
     }
 
     /// Enters an acknowledged write's staged chunks into the index.
-    pub fn commit(&mut self, staged: Vec<(u64, Vec<u8>)>) {
-        for (hash, bytes) in staged {
+    pub fn commit(&mut self, staging: Staging) {
+        for (hash, bytes) in staging.chunks {
             self.digest = self.digest.wrapping_add(hash);
             self.map.insert(hash, bytes);
         }
@@ -209,7 +248,7 @@ impl ChunkIndex {
     /// entering indexed chunks as they stream past (recovery path: the
     /// frontier is committed, so inserts are immediate). Errors are
     /// `(offset, what)` for the caller to wrap in its corruption type.
-    pub fn decode(&mut self, stored: &[u8]) -> Result<Vec<u8>, (usize, String)> {
+    pub(crate) fn decode(&mut self, stored: &[u8]) -> Result<Vec<u8>, (usize, String)> {
         let mut payload = Vec::with_capacity(stored.len());
         let mut at = 0usize;
         let take = |at: &mut usize, n: usize| -> Result<Range<usize>, (usize, String)> {
@@ -277,6 +316,14 @@ impl ChunkIndex {
 #[allow(clippy::single_range_in_vec_init)]
 mod tests {
     use super::*;
+    use ickp_prng::Prng;
+
+    /// Encodes one frame as a write of its own: a fresh staging.
+    fn encode(index: &ChunkIndex, payload: &[u8], ranges: &[Range<usize>]) -> (Vec<u8>, Staging) {
+        let mut staging = Staging::new();
+        let stored = index.encode_batched(payload, ranges, &mut staging).stored;
+        (stored, staging)
+    }
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
@@ -289,9 +336,9 @@ mod tests {
     fn round_trip(payload: &[u8], ranges: &[Range<usize>]) {
         let mut writer = ChunkIndex::new();
         let mut reader = ChunkIndex::new();
-        let enc = writer.encode(payload, ranges);
-        writer.commit(enc.staged);
-        assert_eq!(reader.decode(&enc.stored).unwrap(), payload);
+        let (stored, staging) = encode(&writer, payload, ranges);
+        writer.commit(staging);
+        assert_eq!(reader.decode(&stored).unwrap(), payload);
         assert_eq!(reader.count(), writer.count());
         assert_eq!(reader.digest(), writer.digest());
     }
@@ -309,14 +356,16 @@ mod tests {
     fn repeated_chunks_become_references() {
         let mut index = ChunkIndex::new();
         let a = b"glue|CHUNKCHUNKCHUNKCHUNKCHUNKCHUNKCHUNKCHUNK|end";
-        let first = index.encode(a, &[5..45]);
+        let mut staging = Staging::new();
+        let first = index.encode_batched(a, &[5..45], &mut staging);
         assert_eq!(first.stats.chunks_deduped, 0);
-        index.commit(first.staged);
-        let second = index.encode(a, &[5..45]);
+        index.commit(staging);
+        let mut staging = Staging::new();
+        let second = index.encode_batched(a, &[5..45], &mut staging);
         assert_eq!(second.stats.chunks_total, 1);
         assert_eq!(second.stats.chunks_deduped, 1);
         assert!(second.stats.bytes_stored < second.stats.bytes_in);
-        assert!(second.staged.is_empty());
+        assert_eq!(staging.len(), 0);
         let mut reader = ChunkIndex::new();
         assert_eq!(reader.decode(&first.stored).unwrap(), a);
         assert_eq!(reader.decode(&second.stored).unwrap(), a);
@@ -326,9 +375,10 @@ mod tests {
     fn same_frame_repeats_dedup_against_staging() {
         let index = ChunkIndex::new();
         let payload = b"XXXXYYYYYYYYYYYYYYYYZZZZYYYYYYYYYYYYYYYY";
-        let enc = index.encode(payload, &[4..20, 24..40]);
+        let mut staging = Staging::new();
+        let enc = index.encode_batched(payload, &[4..20, 24..40], &mut staging);
         assert_eq!(enc.stats.chunks_deduped, 1);
-        assert_eq!(enc.staged.len(), 1);
+        assert_eq!(staging.len(), 1);
         let mut reader = ChunkIndex::new();
         assert_eq!(reader.decode(&enc.stored).unwrap(), payload);
     }
@@ -339,11 +389,12 @@ mod tests {
         let payload = b"....CHUNKCHUNKCHUNKCHUNKCHUNKCHUNK....";
         // Frame 1 of a batch stages the chunk; frame 2 of the *same*
         // batch references it without committing anything in between.
-        let first = index.encode_batched(payload, &[4..34], &[]);
-        assert_eq!(first.staged.len(), 1);
-        let second = index.encode_batched(payload, &[4..34], &first.staged);
+        let mut staging = Staging::new();
+        let first = index.encode_batched(payload, &[4..34], &mut staging);
+        assert_eq!(staging.len(), 1);
+        let second = index.encode_batched(payload, &[4..34], &mut staging);
         assert_eq!(second.stats.chunks_deduped, 1);
-        assert!(second.staged.is_empty(), "pending chunks are not re-staged");
+        assert_eq!(staging.len(), 1, "staged chunks are not re-staged");
         // An in-order decode (how recovery scans the frontier) resolves
         // the intra-batch reference.
         let mut reader = ChunkIndex::new();
@@ -354,8 +405,8 @@ mod tests {
     #[test]
     fn uncommitted_chunks_never_enter_the_index() {
         let index = ChunkIndex::new();
-        let enc = index.encode(b"ABCDEFGHIJKLMNOP", &[0..16]);
-        drop(enc); // the append "failed": nothing committed
+        let (_, staging) = encode(&index, b"ABCDEFGHIJKLMNOP", &[0..16]);
+        drop(staging); // the append "failed": nothing committed
         assert_eq!(index.count(), 0);
         assert_eq!(index.digest(), 0);
     }
@@ -375,13 +426,175 @@ mod tests {
     fn tiny_chunks_stay_literal() {
         let mut index = ChunkIndex::new();
         let payload = b"abcdefg";
-        let enc = index.encode(payload, &[0..7]);
-        index.commit(enc.staged);
+        let (_, staging) = encode(&index, payload, &[0..7]);
+        index.commit(staging);
         // Second write: a 7-byte chunk + 5 framing < 13-byte reference,
         // so dedup would grow the store — keep the literal.
-        let again = index.encode(payload, &[0..7]);
+        let mut staging = Staging::new();
+        let again = index.encode_batched(payload, &[0..7], &mut staging);
         assert_eq!(again.stats.chunks_deduped, 0);
         let mut reader = ChunkIndex::new();
         assert_eq!(reader.decode(&again.stored).unwrap(), payload);
+    }
+
+    /// Staged chunks as the linear-scan oracle keeps them.
+    type Chunks = Vec<(u64, Vec<u8>)>;
+
+    /// The linear-scan encoder the hashed staging replaced, kept as the
+    /// oracle: `pending` holds the chunks staged by earlier frames of
+    /// the same batch, and both it and this frame's staged list are
+    /// searched front to back.
+    fn reference_encode(
+        index: &ChunkIndex,
+        payload: &[u8],
+        ranges: &[Range<usize>],
+        pending: &[(u64, Vec<u8>)],
+    ) -> (Vec<u8>, Chunks, DedupStats) {
+        let mut stored = Vec::with_capacity(payload.len() + LITERAL_OVERHEAD);
+        let mut staged: Chunks = Vec::new();
+        let mut stats = DedupStats { bytes_in: payload.len() as u64, ..DedupStats::default() };
+        let mut cursor = 0usize;
+        let glue = |out: &mut Vec<u8>, bytes: &[u8]| {
+            out.push(PART_GLUE);
+            out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+            out.extend_from_slice(bytes);
+        };
+        for range in ranges {
+            if range.start > cursor {
+                glue(&mut stored, &payload[cursor..range.start]);
+            }
+            let chunk = &payload[range.clone()];
+            stats.chunks_total += 1;
+            let hash = content_hash(chunk);
+            let known: Option<&[u8]> = index
+                .map
+                .get(&hash)
+                .map(Vec::as_slice)
+                .or_else(|| staged.iter().find(|(h, _)| *h == hash).map(|(_, b)| b.as_slice()))
+                .or_else(|| pending.iter().find(|(h, _)| *h == hash).map(|(_, b)| b.as_slice()));
+            match known {
+                Some(existing)
+                    if existing == chunk && chunk.len() + LITERAL_OVERHEAD > REF_PART_LEN =>
+                {
+                    stats.chunks_deduped += 1;
+                    stored.push(PART_REF);
+                    stored.extend_from_slice(&hash.to_be_bytes());
+                    stored.extend_from_slice(&(chunk.len() as u32).to_be_bytes());
+                }
+                Some(_) => glue(&mut stored, chunk),
+                None => {
+                    staged.push((hash, chunk.to_vec()));
+                    stored.push(PART_CHUNK);
+                    stored.extend_from_slice(&(chunk.len() as u32).to_be_bytes());
+                    stored.extend_from_slice(chunk);
+                }
+            }
+            cursor = range.end;
+        }
+        if cursor < payload.len() {
+            glue(&mut stored, &payload[cursor..]);
+        }
+        stats.bytes_stored = stored.len() as u64;
+        (stored, staged, stats)
+    }
+
+    /// A seeded frame: chunks drawn (with repeats) from `pool`, with
+    /// optional glue before each and a tail of glue.
+    fn random_frame(rng: &mut Prng, pool: &[Vec<u8>]) -> (Vec<u8>, Vec<Range<usize>>) {
+        let mut payload = Vec::new();
+        let mut ranges = Vec::new();
+        for _ in 0..rng.index(40) {
+            for _ in 0..rng.index(4) {
+                payload.push(rng.next_u32() as u8);
+            }
+            let chunk = rng.choose(pool);
+            ranges.push(payload.len()..payload.len() + chunk.len());
+            payload.extend_from_slice(chunk);
+        }
+        for _ in 0..rng.index(4) {
+            payload.push(rng.next_u32() as u8);
+        }
+        (payload, ranges)
+    }
+
+    #[test]
+    fn hashed_staging_matches_the_linear_scan_oracle() {
+        // (deduped, staged, hits kept literal) over every frame, to show
+        // each branch of the encoder was exercised.
+        let mut seen = (0u64, 0u64, 0u64);
+        for seed in 0..32u64 {
+            let mut rng = Prng::seed_from_u64(seed);
+            // A small pool makes repeats likely inside one frame and
+            // across the frames of a batch; lengths 1..=8 are tiny
+            // chunks that must stay literal even on a hit.
+            let pool: Vec<Vec<u8>> = (0..24)
+                .map(|_| {
+                    let len = 1 + rng.index(40);
+                    (0..len).map(|_| rng.next_u32() as u8).collect()
+                })
+                .collect();
+            let mut index = ChunkIndex::new();
+            // A planted hash collision: the index holds other bytes under
+            // one pool chunk's hash, so that chunk must stay glue.
+            let victim = rng.choose(&pool);
+            index.map.insert(content_hash(victim), b"not the victim's bytes".to_vec());
+            let mut reader = ChunkIndex::new();
+            // Several batches: later ones also hit chunks that earlier
+            // batches committed to the index.
+            for batch in 0..4 {
+                let mut staging = Staging::new();
+                let mut pending: Chunks = Vec::new();
+                for frame in 0..1 + rng.index(4) {
+                    let (payload, ranges) = random_frame(&mut rng, &pool);
+                    let (want_stored, want_staged, want_stats) =
+                        reference_encode(&index, &payload, &ranges, &pending);
+                    let before = staging.len();
+                    let got = index.encode_batched(&payload, &ranges, &mut staging);
+                    let at = format!("seed {seed} batch {batch} frame {frame}");
+                    assert_eq!(got.stored, want_stored, "{at}: stored bytes");
+                    assert_eq!(&staging.chunks[before..], &want_staged[..], "{at}: staged");
+                    assert_eq!(got.stats, want_stats, "{at}: stats");
+                    assert_eq!(reader.decode(&got.stored).unwrap(), payload, "{at}: decode");
+                    let staged = want_staged.len() as u64;
+                    seen.0 += got.stats.chunks_deduped;
+                    seen.1 += staged;
+                    seen.2 += got.stats.chunks_total - got.stats.chunks_deduped - staged;
+                    pending.extend(want_staged);
+                }
+                index.commit(staging);
+            }
+        }
+        assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0, "branch coverage {seen:?}");
+    }
+
+    #[test]
+    fn a_frame_of_100k_distinct_chunks_round_trips() {
+        const CHUNKS: u64 = 100_000;
+        let mut payload = Vec::new();
+        let mut ranges = Vec::new();
+        for i in 0..CHUNKS {
+            payload.push(b'|');
+            let start = payload.len();
+            payload.extend_from_slice(&i.to_le_bytes());
+            payload.extend_from_slice(&(!i).to_le_bytes());
+            ranges.push(start..payload.len());
+        }
+        let mut index = ChunkIndex::new();
+        let mut staging = Staging::new();
+        let first = index.encode_batched(&payload, &ranges, &mut staging);
+        assert_eq!(first.stats.chunks_total, CHUNKS);
+        assert_eq!(first.stats.chunks_deduped, 0);
+        assert_eq!(staging.len() as u64, CHUNKS);
+        let mut reader = ChunkIndex::new();
+        assert_eq!(reader.decode(&first.stored).unwrap(), payload);
+        index.commit(staging);
+        assert_eq!((reader.count(), reader.digest()), (index.count(), index.digest()));
+
+        // The same frame again: every chunk is a back-reference.
+        let mut staging = Staging::new();
+        let second = index.encode_batched(&payload, &ranges, &mut staging);
+        assert_eq!(second.stats.chunks_deduped, CHUNKS);
+        assert_eq!(staging.len(), 0);
+        assert_eq!(reader.decode(&second.stored).unwrap(), payload);
     }
 }

@@ -65,7 +65,7 @@ pub mod store;
 pub mod trace;
 mod vfs;
 
-pub use crc::crc32;
+pub use crc::{crc32, crc32_update};
 pub use dedup::{content_hash, DedupStats};
 pub use error::DurableError;
 pub use fail::{FailFs, FaultPlan, OpCounter};

@@ -66,8 +66,8 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use crate::crc::crc32;
-use crate::dedup::{ChunkIndex, DedupStats};
+use crate::crc::{crc32, crc32_update};
+use crate::dedup::{ChunkIndex, DedupStats, Staging};
 use crate::error::DurableError;
 use crate::vfs::Vfs;
 use ickp_core::{decode, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats};
@@ -277,12 +277,15 @@ fn segment_header(index: u32) -> Vec<u8> {
     out
 }
 
+/// The CRC a frame stores: over its big-endian length field, then its
+/// payload, checksummed in place.
+fn frame_crc(len: usize, payload: &[u8]) -> u32 {
+    crc32_update(crc32(&(len as u32).to_be_bytes()), payload)
+}
+
 fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let len = (payload.len() as u32).to_be_bytes();
-    let mut covered = Vec::with_capacity(4 + payload.len());
-    covered.extend_from_slice(&len);
-    covered.extend_from_slice(payload);
-    let crc = crc32(&covered);
+    let crc = frame_crc(payload.len(), payload);
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN as usize + payload.len());
     frame.extend_from_slice(&len);
     frame.extend_from_slice(&crc.to_be_bytes());
@@ -509,10 +512,7 @@ impl<F: Vfs> DurableStore<F> {
                     ));
                 }
                 let stored_payload = &committed[body_at..body_at + len];
-                let mut covered = Vec::with_capacity(4 + len);
-                covered.extend_from_slice(&committed[offset..offset + 4]);
-                covered.extend_from_slice(stored_payload);
-                if crc32(&covered) != stored_crc {
+                if frame_crc(len, stored_payload) != stored_crc {
                     return Err(corrupt(offset as u64, "frame checksum mismatch".into()));
                 }
 
@@ -742,10 +742,9 @@ impl<F: Vfs> DurableStore<F> {
         }
 
         let mut candidate = self.manifest.clone();
-        let mut staged_all: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut stats = DedupStats::default();
         let mut touched: Vec<u32> = Vec::new();
-        {
+        let staging = {
             let DurableStore {
                 ref mut fs,
                 ref config,
@@ -754,9 +753,10 @@ impl<F: Vfs> DurableStore<F> {
                 ref mut io,
                 ..
             } = *self;
-            if let [record] = records {
+            let staging = if let [record] = records {
                 // A batch of one encodes inline: nothing to overlap.
-                let encoded = chunks.encode(record.bytes(), layouts[0]);
+                let mut staging = Staging::new();
+                let encoded = chunks.encode_batched(record.bytes(), layouts[0], &mut staging);
                 let frame = encode_frame(&encoded.stored);
                 place_frame(
                     fs,
@@ -767,27 +767,29 @@ impl<F: Vfs> DurableStore<F> {
                     io,
                     &frame,
                 )?;
-                staged_all = encoded.staged;
                 stats = encoded.stats;
+                staging
             } else {
                 // Pipeline: a scoped worker encodes frame k+1 while this
                 // thread writes frame k. The channel preserves record
                 // order, so the VFS sees the exact operation sequence a
-                // sequential encoder would produce.
-                std::thread::scope(|scope| -> Result<(), DurableError> {
+                // sequential encoder would produce. The worker owns the
+                // batch's staging and hands it back for the commit.
+                std::thread::scope(|scope| -> Result<Staging, DurableError> {
                     let (tx, rx) = std::sync::mpsc::channel();
-                    scope.spawn(move || {
-                        let mut pending: Vec<(u64, Vec<u8>)> = Vec::new();
+                    let encoder = scope.spawn(move || {
+                        let mut staging = Staging::new();
                         for (record, ranges) in records.iter().zip(layouts) {
-                            let encoded = chunks.encode_batched(record.bytes(), ranges, &pending);
+                            let encoded =
+                                chunks.encode_batched(record.bytes(), ranges, &mut staging);
                             let frame = encode_frame(&encoded.stored);
-                            pending.extend(encoded.staged.iter().cloned());
-                            if tx.send((frame, encoded.staged, encoded.stats)).is_err() {
-                                return; // the writer bailed on an I/O error
+                            if tx.send((frame, encoded.stats)).is_err() {
+                                break; // the writer bailed on an I/O error
                             }
                         }
+                        staging
                     });
-                    for (frame, staged, frame_stats) in rx {
+                    for (frame, frame_stats) in rx {
                         place_frame(
                             fs,
                             config,
@@ -797,28 +799,27 @@ impl<F: Vfs> DurableStore<F> {
                             io,
                             &frame,
                         )?;
-                        staged_all.extend(staged);
                         stats.absorb(frame_stats);
                     }
-                    Ok(())
-                })?;
-            }
+                    Ok(encoder.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                })?
+            };
             // One fsync per touched segment — the group-commit saving.
             for index in &touched {
                 fs.sync(&segment_name(*index))?;
                 io.file_syncs += 1;
             }
-        }
+            staging
+        };
 
         candidate.record_count += records.len() as u64;
         candidate.last_seq = Some(records.last().expect("non-empty batch").seq());
-        candidate.chunk_count += staged_all.len() as u64;
-        candidate.chunk_digest =
-            staged_all.iter().fold(candidate.chunk_digest, |d, (h, _)| d.wrapping_add(*h));
+        candidate.chunk_count += staging.len() as u64;
+        candidate.chunk_digest = candidate.chunk_digest.wrapping_add(staging.digest());
         self.swap_manifest(candidate)?;
         // The manifest swap acknowledged the batch: only now may its
         // chunks serve as dedup targets for later appends.
-        self.chunks.commit(staged_all);
+        self.chunks.commit(staging);
         self.seqs.extend(records.iter().map(CheckpointRecord::seq));
         Ok(stats)
     }
@@ -954,12 +955,12 @@ impl<F: Vfs> DurableStore<F> {
 
         // Stage everything against a fresh index, then write the new
         // segments under indices no live file uses.
-        let mut staged = ChunkIndex::new();
+        let mut fresh = ChunkIndex::new();
+        let mut staging = Staging::new();
         let mut stats = DedupStats::default();
         let mut segments: Vec<(SegmentEntry, Vec<u8>)> = Vec::new();
         for (record, ranges) in records.iter().zip(layouts) {
-            let encoded = staged.encode(record.bytes(), ranges);
-            staged.commit(encoded.staged);
+            let encoded = fresh.encode_batched(record.bytes(), ranges, &mut staging);
             stats.absorb(encoded.stats);
             let frame = encode_frame(&encoded.stored);
             let roll = match segments.last() {
@@ -990,13 +991,14 @@ impl<F: Vfs> DurableStore<F> {
             segments: segments.iter().map(|(entry, _)| *entry).collect(),
             generation: self.manifest.generation + 1,
             tags: new_tags,
-            chunk_count: staged.count(),
-            chunk_digest: staged.digest(),
+            chunk_count: staging.len() as u64,
+            chunk_digest: staging.digest(),
         };
         self.swap_manifest(candidate)?;
         // Committed: adopt the new in-memory state before cleanup so an
         // error below cannot strand the store mid-transition.
-        self.chunks = staged;
+        fresh.commit(staging);
+        self.chunks = fresh;
         self.seqs = seqs;
         self.tail_dirty = false;
         let mut removed = false;

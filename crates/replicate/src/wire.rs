@@ -165,7 +165,9 @@ impl WireMessage {
             KIND_REWRITE => {
                 let payloads = c.payloads()?;
                 let ntags = c.u32()? as usize;
-                let mut tags = Vec::with_capacity(ntags);
+                // Untrusted count: reserve no more than the frame can
+                // justify; the loop below fails on the first missing tag.
+                let mut tags = Vec::with_capacity(ntags.min(1024));
                 for _ in 0..ntags {
                     let label = c.label()?;
                     let seq = c.u64()?;
@@ -280,6 +282,20 @@ mod tests {
         let bytes = WireMessage::Ack { op_seq: 3 }.encode();
         assert!(WireMessage::decode(&bytes[..bytes.len() - 1]).is_err());
         assert!(WireMessage::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn hostile_tag_count_is_rejected_without_reserving_it() {
+        // A CRC-valid Rewrite frame whose tag count claims u32::MAX
+        // entries but carries none: decode must fail cleanly, not try to
+        // reserve ~128 GiB up front.
+        let mut bytes = WireMessage::Rewrite { op_seq: 4, payloads: vec![], tags: vec![] }.encode();
+        bytes.truncate(bytes.len() - 8);
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        let err = WireMessage::decode(&bytes).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
     }
 
     #[test]
