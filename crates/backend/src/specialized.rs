@@ -16,10 +16,10 @@ use crate::engine::Engine;
 use crate::threaded::ThreadedPlan;
 use ickp_core::{
     CheckpointKind, CheckpointRecord, CoreError, MethodTable, StreamWriter, TraversalStats,
+    WalkScratch,
 };
 use ickp_heap::{Heap, ObjectId, StableId};
 use ickp_spec::{GuardMode, Plan};
-use std::collections::HashSet;
 
 /// Specialized incremental checkpointing under a selected engine.
 #[derive(Debug)]
@@ -124,8 +124,7 @@ impl SpecializedBackend {
 
         if threaded_mode {
             let mut regs = vec![None; self.threaded.num_regs() as usize];
-            let mut scratch = Vec::new();
-            let mut seen = HashSet::new();
+            let mut walk = WalkScratch::default();
             for &root in roots {
                 regs.fill(None);
                 self.threaded.run(
@@ -135,8 +134,7 @@ impl SpecializedBackend {
                     guard,
                     methods,
                     &mut regs,
-                    &mut scratch,
-                    &mut seen,
+                    &mut walk,
                     &mut stats,
                 )?;
             }

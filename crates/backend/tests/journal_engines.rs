@@ -8,7 +8,7 @@
 //! the specialized backend's empty-dirty shortcut.
 
 use ickp_backend::{Engine, GenericBackend, ParallelBackend, SpecializedBackend};
-use ickp_core::{CheckpointConfig, Checkpointer, MethodTable};
+use ickp_core::{object_slices, CheckpointConfig, Checkpointer, MethodTable, TraversalStats};
 use ickp_heap::{ClassRegistry, FieldType, Heap, ObjectId, Value};
 use ickp_prng::Prng;
 use ickp_spec::{ListPattern, NodePattern, Plan, SpecShape, Specializer};
@@ -44,23 +44,22 @@ fn mirrored_world(n: usize) -> (Heap, Heap, Vec<ObjectId>, Vec<Vec<ObjectId>>) {
     (a, b, roots_a, lists_a)
 }
 
-/// Applies the same script of random writes to both mirrors: mostly Int
+/// Applies the same script of random writes to every mirror: mostly Int
 /// writes (journal-friendly), occasionally a ref rewire that invalidates
 /// the cached traversal order and forces the next round to the slow path.
-fn mutate(rng: &mut Prng, heaps: [&mut Heap; 2], lists: &[Vec<ObjectId>]) {
-    let [a, b] = heaps;
+fn mutate<const N: usize>(rng: &mut Prng, mut heaps: [&mut Heap; N], lists: &[Vec<ObjectId>]) {
     for _ in 0..1 + rng.index(6) {
         let list = rng.index(lists.len());
         let pos = rng.index(lists[list].len());
         let id = lists[list][pos];
-        if rng.ratio(1, 8) {
+        let (slot, value) = if rng.ratio(1, 8) {
             let target = if rng.next_bool() { None } else { Some(*rng.choose(&lists[list])) };
-            a.set_field(id, 1, Value::Ref(target)).unwrap();
-            b.set_field(id, 1, Value::Ref(target)).unwrap();
+            (1, Value::Ref(target))
         } else {
-            let v = rng.next_i32();
-            a.set_field(id, 0, Value::Int(v)).unwrap();
-            b.set_field(id, 0, Value::Int(v)).unwrap();
+            (0, Value::Int(rng.next_i32()))
+        };
+        for heap in heaps.iter_mut() {
+            heap.set_field(id, slot, value).unwrap();
         }
     }
 }
@@ -70,16 +69,23 @@ fn generic_backends_match_the_reference_stream_every_round() {
     for engine in Engine::ALL {
         let mut rng = Prng::seed_from_u64(0xe9e1_0001);
         let (mut heap, mut ref_heap, roots, lists) = mirrored_world(8);
+        let mut journaled_heap = ref_heap.clone();
         let mut backend = GenericBackend::new(engine, heap.registry());
         let table = MethodTable::derive(ref_heap.registry());
         let mut reference = Checkpointer::new(CheckpointConfig::incremental().without_journal());
+        // The same driver with direct dispatch: every counter must agree
+        // with the backend's, slow-path and fast-path rounds alike.
+        let mut journaled = Checkpointer::new(CheckpointConfig::incremental());
+        let counters = |stats: TraversalStats| TraversalStats { bytes_reused: 0, ..stats };
 
         let mut journal_rounds = 0u32;
         for round in 0..20 {
-            mutate(&mut rng, [&mut heap, &mut ref_heap], &lists);
+            mutate(&mut rng, [&mut heap, &mut ref_heap, &mut journaled_heap], &lists);
             let a = backend.checkpoint(&mut heap, &roots).unwrap();
             let b = reference.checkpoint(&mut ref_heap, &table, &roots).unwrap();
+            let c = journaled.checkpoint(&mut journaled_heap, &table, &roots).unwrap();
             assert_eq!(a.bytes(), b.bytes(), "{engine} round {round}");
+            assert_eq!(counters(a.stats()), counters(c.stats()), "{engine} round {round}");
             if a.stats().journal_hits > 0 {
                 journal_rounds += 1;
             }
@@ -178,4 +184,68 @@ fn specialized_shortcut_rounds_match_a_fresh_plan_execution() {
         }
     }
     assert!(shortcut_rounds > 0);
+}
+
+/// Generic fallbacks (`Op::Generic`) over DAGs whose subobjects are shared
+/// within one structure and across structures must record exactly what
+/// the generic driver records for those subtrees, under the interpreted
+/// and the threaded plan executor alike.
+#[test]
+fn generic_fallbacks_over_shared_subobjects_match_the_reference_records() {
+    let mut reg = ClassRegistry::new();
+    let node = reg
+        .define(
+            "Node",
+            None,
+            &[("v", FieldType::Int), ("l", FieldType::Ref(None)), ("r", FieldType::Ref(None))],
+        )
+        .unwrap();
+    let holder = reg.define("Holder", None, &[("body", FieldType::Ref(Some(node)))]).unwrap();
+    let shape = SpecShape::object(holder, NodePattern::FrozenHere, vec![(0, SpecShape::Dynamic)]);
+    let plan = Specializer::new(&reg).compile(&shape).unwrap();
+    assert!(plan.has_dynamic());
+
+    // Per holder, a diamond `top -> {b, c} -> d`, whose `c` and `d` also
+    // point at one node shared by both holders.
+    let mut heap = Heap::new(reg.clone());
+    let shared = heap.alloc(node).unwrap();
+    let (mut holders, mut tops, mut nodes) = (Vec::new(), Vec::new(), vec![shared]);
+    for _ in 0..2 {
+        let [top, b, c, d] = [(); 4].map(|_| heap.alloc(node).unwrap());
+        for (from, slot, to) in [(top, 1, b), (top, 2, c), (b, 1, d), (c, 1, d), (c, 2, shared)] {
+            heap.set_field(from, slot, Value::Ref(Some(to))).unwrap();
+        }
+        heap.set_field(d, 2, Value::Ref(Some(shared))).unwrap();
+        let h = heap.alloc(holder).unwrap();
+        heap.set_field(h, 0, Value::Ref(Some(top))).unwrap();
+        holders.push(h);
+        tops.push(top);
+        nodes.extend([top, b, c, d]);
+    }
+    let table = MethodTable::derive(&reg);
+    let records = |bytes: &[u8]| -> Vec<u8> {
+        let layout = object_slices(bytes, &reg).unwrap();
+        layout.objects.iter().flat_map(|r| bytes[r.clone()].to_vec()).collect()
+    };
+
+    for engine in Engine::ALL {
+        let mut spec_heap = heap.clone();
+        let mut ref_heap = heap.clone();
+        let mut backend = SpecializedBackend::new(engine, plan.clone());
+        let mut reference = Checkpointer::new(CheckpointConfig::incremental().without_journal());
+        // Round 0 records everything (all fresh); later rounds dirty the
+        // shared node and one node per round.
+        for round in 0..4 {
+            if round > 0 {
+                for h in [&mut spec_heap, &mut ref_heap] {
+                    h.set_field(shared, 0, Value::Int(round)).unwrap();
+                    h.set_field(nodes[round as usize], 0, Value::Int(-round)).unwrap();
+                }
+            }
+            let a = backend.checkpoint(&mut spec_heap, &holders, Some(&table)).unwrap();
+            let b = reference.checkpoint(&mut ref_heap, &table, &tops).unwrap();
+            assert!(b.stats().objects_recorded > 0, "{engine} round {round}");
+            assert_eq!(records(a.bytes()), records(b.bytes()), "{engine} round {round}");
+        }
+    }
 }

@@ -151,7 +151,7 @@ impl SynthRunner {
             Full(Checkpointer),
             Incr(Checkpointer),
             Spec(SpecializedCheckpointer),
-            EngineGen(GenericBackend),
+            EngineGen(Box<GenericBackend>),
             EngineSpec(SpecializedBackend),
             Par(Box<ParallelBackend>),
         }
@@ -166,9 +166,10 @@ impl SynthRunner {
             Variant::SpecStructure | Variant::SpecModifiedLists | Variant::SpecLastOnly => {
                 Driver::Spec(SpecializedCheckpointer::new(GuardMode::Trusting))
             }
-            Variant::EngineGeneric(engine) => {
-                Driver::EngineGen(GenericBackend::new(engine, self.world.heap().registry()))
-            }
+            Variant::EngineGeneric(engine) => Driver::EngineGen(Box::new(GenericBackend::new(
+                engine,
+                self.world.heap().registry(),
+            ))),
             Variant::EngineSpecLastOnly(engine) => Driver::EngineSpec(SpecializedBackend::new(
                 engine,
                 plan.clone().expect("engine-spec variant has a plan"),

@@ -17,12 +17,12 @@
 
 use crate::error::CoreError;
 use crate::journal::JournalCache;
+use crate::kernel::{record, Direct, Dispatch, Emit, WalkScratch};
 use crate::methods::MethodTable;
 use crate::pool::BufferPool;
 use crate::stats::TraversalStats;
-use crate::stream::{CheckpointKind, StreamWriter};
+use crate::stream::CheckpointKind;
 use ickp_heap::{Heap, ObjectId, StableId};
-use std::collections::HashSet;
 
 /// How the parallel engine places shard boundaries over the root set.
 ///
@@ -149,7 +149,8 @@ impl CheckpointRecord {
     ///
     /// Exists so alternative producers (the specialized checkpointer in
     /// `ickp-spec`) can emit records interchangeable with the generic
-    /// driver's; `bytes` must be a finished [`StreamWriter`] stream.
+    /// driver's; `bytes` must be a finished [`StreamWriter`](crate::StreamWriter)
+    /// stream.
     pub fn from_parts(
         seq: u64,
         kind: CheckpointKind,
@@ -158,26 +159,6 @@ impl CheckpointRecord {
         stats: TraversalStats,
     ) -> CheckpointRecord {
         CheckpointRecord { seq, kind, roots, bytes, stats, pool: None }
-    }
-
-    pub(crate) fn pooled(
-        seq: u64,
-        kind: CheckpointKind,
-        roots: Vec<StableId>,
-        bytes: Vec<u8>,
-        stats: TraversalStats,
-        pool: BufferPool,
-    ) -> CheckpointRecord {
-        CheckpointRecord { seq, kind, roots, bytes, stats, pool: Some(pool) }
-    }
-
-    /// Attaches a [`BufferPool`]: when this record is dropped, its byte
-    /// buffer is recycled into `pool` instead of being freed. Producers
-    /// outside this crate (the engine backends) use this to close their
-    /// allocation loop; clones of the record stay detached.
-    pub fn with_pool(mut self, pool: BufferPool) -> CheckpointRecord {
-        self.pool = Some(pool);
-        self
     }
 
     /// Dismantles the record into `(seq, kind, roots, bytes, stats)`,
@@ -245,8 +226,10 @@ pub struct Checkpointer {
     pub(crate) last_phases: Option<crate::parallel::ParallelPhases>,
     /// Recycles encode buffers between checkpoints (see [`BufferPool`]).
     pub(crate) pool: BufferPool,
+    /// Kernel scratch, one per shard; the sequential driver uses the first.
+    pub(crate) walks: Vec<WalkScratch>,
     /// Reusable `(position, id)` scratch for the fast path's sort.
-    pub(crate) scratch: Vec<(u32, ObjectId)>,
+    pub(crate) dirty: Vec<(u32, ObjectId)>,
 }
 
 impl Checkpointer {
@@ -261,7 +244,8 @@ impl Checkpointer {
             last_shard_stats: Vec::new(),
             last_phases: None,
             pool: BufferPool::default(),
-            scratch: Vec::new(),
+            walks: vec![WalkScratch::default()],
+            dirty: Vec::new(),
         }
     }
 
@@ -333,10 +317,14 @@ impl Checkpointer {
     ///
     /// This is the paper's Figure 1 `checkpoint` method applied to each
     /// root: per object, *(incremental only)* test the modified flag; if
-    /// set, record the object's state (via its virtual `record` method) and
-    /// reset the flag; then fold over the children (via its virtual `fold`
-    /// method). A visited set makes shared subobjects checkpoint once and
-    /// keeps the traversal total even on (disallowed) cyclic inputs.
+    /// set, record the object's state (via its virtual `record` method);
+    /// then fold over the children (via its virtual `fold` method). A
+    /// visited table makes shared subobjects checkpoint once and keeps the
+    /// traversal total even on (disallowed) cyclic inputs. The flags of the
+    /// recorded objects are reset once the whole traversal has succeeded.
+    ///
+    /// This is the one-shard case of [`Checkpointer::checkpoint_parallel`]:
+    /// one kernel walk on the caller's thread, with no shard plan.
     ///
     /// Uses a blocking protocol: the heap is borrowed for the whole
     /// checkpoint, exactly like the paper's stop-and-record assumption.
@@ -345,112 +333,118 @@ impl Checkpointer {
     ///
     /// Propagates heap errors (e.g. dangling references) and
     /// [`CoreError::UnknownClassIndex`] for objects whose class the method
-    /// table does not cover.
+    /// table does not cover. On error *no* modified flags are reset and
+    /// no sequence number is consumed, so the next checkpoint still
+    /// records everything this one would have.
     pub fn checkpoint(
         &mut self,
         heap: &mut Heap,
         methods: &MethodTable,
         roots: &[ObjectId],
     ) -> Result<CheckpointRecord, CoreError> {
-        let seq = self.next_seq;
-        let root_ids: Vec<StableId> =
-            roots.iter().map(|&r| heap.stable_id(r)).collect::<Result<_, _>>()?;
-        if self.journal_usable(heap, roots) {
-            return self.checkpoint_from_journal(heap, methods, root_ids);
-        }
-        let (mut writer, reused) = self.writer_for(seq, self.config.kind, &root_ids);
-        let mut stats = TraversalStats { bytes_reused: reused, ..TraversalStats::default() };
-        // Only incremental drivers can consume the cache; a full-kind
-        // checkpoint would rebuild it for nothing.
-        let journal_on = self.config.journal && self.config.kind == CheckpointKind::Incremental;
-        let mut builder = journal_on.then(|| JournalCache::builder(heap, roots));
-
-        let mut stack: Vec<ObjectId> = roots.iter().rev().copied().collect();
-        let mut visited: HashSet<ObjectId> = HashSet::with_capacity(roots.len() * 4);
-        while let Some(id) = stack.pop() {
-            if !visited.insert(id) {
-                continue;
-            }
-            stats.objects_visited += 1;
-            if let Some(builder) = &mut builder {
-                builder.visit(id);
-            }
-
-            let record_it = match self.config.kind {
-                CheckpointKind::Full => true,
-                CheckpointKind::Incremental => {
-                    stats.flag_tests += 1;
-                    heap.is_modified(id)?
-                }
-            };
-            let class = heap.class_of(id)?;
-            if record_it {
-                let def = heap.class(class)?;
-                writer.begin_object(heap.stable_id(id)?, class, def.num_slots());
-                // Virtual call: o.record(d)
-                stats.virtual_calls += 1;
-                methods.record(class)?(heap, id, &mut writer)?;
-                stats.objects_recorded += 1;
-                heap.reset_modified(id)?;
-            }
-
-            // Virtual call: o.fold(c)
-            stats.virtual_calls += 1;
-            let before = stack.len();
-            methods.fold(class)?(heap, id, &mut |child| {
-                stack.push(child);
-                Ok(())
-            })?;
-            stats.refs_followed += (stack.len() - before) as u64;
-            // Preserve field order for the children just pushed.
-            stack[before..].reverse();
-        }
-
-        if let Some(builder) = builder {
-            self.cache = Some(builder.finish());
-            heap.finish_journal_epoch();
-        }
-        stats.bytes_written = writer.len() as u64;
-        let bytes = writer.finish();
-        self.next_seq += 1;
-        self.cumulative += stats;
-        Ok(CheckpointRecord::pooled(
-            seq,
-            self.config.kind,
-            root_ids,
-            bytes,
-            stats,
-            self.pool.clone(),
-        ))
+        self.checkpoint_via(heap, &mut Direct(methods), roots)
     }
 
-    /// `true` if this checkpoint can skip the traversal and be served from
-    /// the dirty-set journal: incremental mode, journal enabled, and a
-    /// traversal-order cache that is still valid for this heap and root
-    /// set.
-    pub(crate) fn journal_usable(&self, heap: &Heap, roots: &[ObjectId]) -> bool {
-        self.config.journal
-            && self.config.kind == CheckpointKind::Incremental
-            && self.cache.as_ref().is_some_and(|c| c.is_valid(heap, roots))
+    /// [`Checkpointer::checkpoint`] with every `record` and `fold` call
+    /// resolved through `dispatch` — the entry point of the engine
+    /// backends, whose dispatch regimes differ in cost but not in result.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Checkpointer::checkpoint`], and with whatever
+    /// `dispatch` reports.
+    pub fn checkpoint_via<D: Dispatch>(
+        &mut self,
+        heap: &mut Heap,
+        dispatch: &mut D,
+        roots: &[ObjectId],
+    ) -> Result<CheckpointRecord, CoreError> {
+        let seq = self.next_seq;
+        let kind = self.config.kind;
+        let root_ids: Vec<StableId> =
+            roots.iter().map(|&r| heap.stable_id(r)).collect::<Result<_, _>>()?;
+        if self.journal_ready(heap, roots) {
+            return self.journal_fast_path(heap, dispatch, root_ids);
+        }
+        let (mut writer, reused) = self.pool.writer(seq, kind, &root_ids);
+        let emit = Emit::Records(kind, &mut writer);
+        let collect_order = self.journal_wanted();
+        let mut stats = self.walks[0].walk(heap, dispatch, roots, emit, |_| true, collect_order)?;
+        self.settle(heap, roots, 1)?;
+        stats.bytes_reused = reused;
+        stats.bytes_written = writer.len() as u64;
+        Ok(self.seal(seq, root_ids, writer.finish(), stats))
+    }
+
+    /// `true` if the next checkpoint of `roots` will be served from the
+    /// dirty-set journal rather than traversed: incremental mode, journal
+    /// enabled, and a traversal-order cache that is still valid for this
+    /// heap and root set.
+    pub fn journal_ready(&self, heap: &Heap, roots: &[ObjectId]) -> bool {
+        self.journal_wanted() && self.cache.as_ref().is_some_and(|c| c.is_valid(heap, roots))
+    }
+
+    /// `true` if slow-path checkpoints keep the journal cache up to date.
+    /// Only incremental drivers can consume the cache; a full-kind
+    /// checkpoint would rebuild it for nothing.
+    pub(crate) fn journal_wanted(&self) -> bool {
+        self.config.journal && self.config.kind == CheckpointKind::Incremental
+    }
+
+    /// The epilogue of every traversed checkpoint, run only once all of
+    /// its `shards` walks have succeeded: reset the flags they recorded,
+    /// then rebuild the journal cache from their visit orders.
+    pub(crate) fn settle(
+        &mut self,
+        heap: &mut Heap,
+        roots: &[ObjectId],
+        shards: usize,
+    ) -> Result<(), CoreError> {
+        let walks = &self.walks[..shards];
+        for walk in walks {
+            walk.reset_recorded(heap)?;
+        }
+        if self.journal_wanted() {
+            // Visit orders concatenated in shard order are the sequential
+            // depth-first pre-order, so every engine builds the same cache.
+            let order = walks.iter().flat_map(|walk| walk.order().iter().copied());
+            self.cache = Some(JournalCache::build(heap, roots, order));
+            heap.finish_journal_epoch();
+        }
+        Ok(())
+    }
+
+    /// Consumes the sequence number and wraps a finished stream.
+    pub(crate) fn seal(
+        &mut self,
+        seq: u64,
+        root_ids: Vec<StableId>,
+        bytes: Vec<u8>,
+        stats: TraversalStats,
+    ) -> CheckpointRecord {
+        self.next_seq += 1;
+        self.cumulative += stats;
+        let (kind, pool) = (self.config.kind, Some(self.pool.clone()));
+        CheckpointRecord { seq, kind, roots: root_ids, bytes, stats, pool }
     }
 
     /// The journal fast path: O(modified log modified) instead of
     /// O(reachable). Emits the byte-identical stream the flag-test
     /// traversal would have produced, because the cached pre-order
     /// positions reproduce traversal order exactly and the journal is a
-    /// complete membership filter for modified objects.
-    pub(crate) fn checkpoint_from_journal(
+    /// complete membership filter for modified objects. Each record still
+    /// resolves through `dispatch`, so an engine's dispatch cost stays
+    /// measurable on this path too.
+    pub(crate) fn journal_fast_path<D: Dispatch>(
         &mut self,
         heap: &mut Heap,
-        methods: &MethodTable,
+        dispatch: &mut D,
         root_ids: Vec<StableId>,
     ) -> Result<CheckpointRecord, CoreError> {
         let seq = self.next_seq;
-        let kind = self.config.kind;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let cache = self.cache.as_ref().expect("journal_usable checked");
-        let scanned = cache.collect_dirty(heap, &mut scratch);
-        let hits = scratch.len() as u64;
+        let cache = self.cache.as_ref().expect("journal_ready checked");
+        let scanned = cache.collect_dirty(heap, &mut self.dirty);
+        let hits = self.dirty.len() as u64;
 
         // Flag tests moved from the traversal to the journal scan; visits
         // shrink to the objects actually emitted.
@@ -462,43 +456,26 @@ impl Checkpointer {
             ..TraversalStats::default()
         };
 
-        let (mut writer, reused) = self.writer_for(seq, kind, &root_ids);
-        stats.bytes_reused = reused;
-        for &(_, id) in &scratch {
-            let class = heap.class_of(id)?;
-            let def = heap.class(class)?;
-            writer.begin_object(heap.stable_id(id)?, class, def.num_slots());
-            stats.virtual_calls += 1;
-            methods.record(class)?(heap, id, &mut writer)?;
-            stats.objects_recorded += 1;
+        let (mut writer, reused) = self.pool.writer(seq, self.config.kind, &root_ids);
+        // Each flag is reset right after its record, while the object is
+        // still in cache; a failure puts the flags already reset back.
+        for (done, &(_, id)) in self.dirty.iter().enumerate() {
+            let class = heap.class_of(id).map_err(CoreError::from);
+            if let Err(err) =
+                class.and_then(|c| record(heap, dispatch, id, c, &mut writer, &mut stats))
+            {
+                for &(_, id) in &self.dirty[..done] {
+                    heap.set_modified(id)?;
+                }
+                return Err(err);
+            }
             heap.reset_modified(id)?;
         }
-        scratch.clear();
-        self.scratch = scratch;
         heap.finish_journal_epoch();
 
+        stats.bytes_reused = reused;
         stats.bytes_written = writer.len() as u64;
-        let bytes = writer.finish();
-        self.next_seq += 1;
-        self.cumulative += stats;
-        Ok(CheckpointRecord::pooled(seq, kind, root_ids, bytes, stats, self.pool.clone()))
-    }
-
-    /// Starts a stream, reusing a pooled buffer when one is idle. Returns
-    /// the writer and the recycled capacity (for `bytes_reused`).
-    pub(crate) fn writer_for(
-        &mut self,
-        seq: u64,
-        kind: CheckpointKind,
-        root_ids: &[StableId],
-    ) -> (StreamWriter, u64) {
-        match self.pool.acquire() {
-            Some(buf) => {
-                let reused = buf.capacity() as u64;
-                (StreamWriter::with_buffer(buf, seq, kind, root_ids), reused)
-            }
-            None => (StreamWriter::new(seq, kind, root_ids), 0),
-        }
+        Ok(self.seal(seq, root_ids, writer.finish(), stats))
     }
 
     /// Performs the traversal and flag tests of an incremental checkpoint
@@ -519,28 +496,8 @@ impl Checkpointer {
         methods: &MethodTable,
         roots: &[ObjectId],
     ) -> Result<TraversalStats, CoreError> {
-        let mut stats = TraversalStats::default();
-        let mut stack: Vec<ObjectId> = roots.iter().rev().copied().collect();
-        let mut visited: HashSet<ObjectId> = HashSet::with_capacity(roots.len() * 4);
-        while let Some(id) = stack.pop() {
-            if !visited.insert(id) {
-                continue;
-            }
-            stats.objects_visited += 1;
-            stats.flag_tests += 1;
-            // The flag read itself is the measured work.
-            let _modified = heap.is_modified(id)?;
-            let class = heap.class_of(id)?;
-            stats.virtual_calls += 1;
-            let before = stack.len();
-            methods.fold(class)?(heap, id, &mut |child| {
-                stack.push(child);
-                Ok(())
-            })?;
-            stats.refs_followed += (stack.len() - before) as u64;
-            stack[before..].reverse();
-        }
-        Ok(stats)
+        let emit = Emit::FlagTestsOnly;
+        self.walks[0].walk(heap, &mut Direct(methods), roots, emit, |_| true, false)
     }
 }
 

@@ -5,8 +5,8 @@
 //! must stay byte-identical. The dirty-set journal ([`Heap::journal`])
 //! says *which* objects can be recorded but not in what order, so the fast
 //! path keeps a [`JournalCache`]: a dense slot-indexed map from object to
-//! its pre-order position, rebuilt for free during every slow-path
-//! traversal and valid for as long as [`Heap::structure_version`] and the
+//! its pre-order position, rebuilt from the visit order of every
+//! slow-path traversal and valid for as long as [`Heap::structure_version`] and the
 //! root set are unchanged. With it, a checkpoint is: scan the journal,
 //! keep the live modified reachable entries, sort them by cached position,
 //! emit — O(modified log modified), never touching clean subtrees.
@@ -21,9 +21,8 @@ const UNREACHABLE: u32 = u32::MAX;
 /// A cached depth-first pre-order over the objects reachable from a fixed
 /// root set, keyed on the heap's structure version.
 ///
-/// Built by checkpointers during slow-path traversals (sequential and
-/// sharded alike) and consulted by the journal fast path. Public so that
-/// the engine backends in `ickp-backend` can reuse it.
+/// Built by every slow-path checkpoint (sequential and sharded alike, under
+/// any dispatch) and consulted by the journal fast path.
 #[derive(Debug, Clone)]
 pub struct JournalCache {
     /// Length and order-sensitive FNV-1a hash of the root set the cache
@@ -66,18 +65,30 @@ fn fnv_roots(roots: &[ObjectId]) -> u64 {
 }
 
 impl JournalCache {
-    /// Starts recording a traversal over `heap` from `roots`. Call
-    /// [`JournalCacheBuilder::visit`] for each object as the traversal
-    /// first reaches it.
-    pub fn builder(heap: &Heap, roots: &[ObjectId]) -> JournalCacheBuilder {
-        JournalCacheBuilder {
-            cache: JournalCache {
-                roots_len: roots.len(),
-                roots_fnv: fnv_roots(roots),
-                structure_version: heap.structure_version(),
-                position: vec![UNREACHABLE; heap.arena_size()],
-                reachable: 0,
-            },
+    /// Builds the cache of a traversal over `heap` from `roots` that
+    /// visited `order`, in visit order. Repeated objects keep their first
+    /// position.
+    pub fn build(
+        heap: &Heap,
+        roots: &[ObjectId],
+        order: impl IntoIterator<Item = ObjectId>,
+    ) -> JournalCache {
+        let mut position = vec![UNREACHABLE; heap.arena_size()];
+        let mut reachable = 0;
+        for id in order {
+            if let Some(slot) = position.get_mut(id.index()) {
+                if *slot == UNREACHABLE {
+                    *slot = reachable as u32;
+                    reachable += 1;
+                }
+            }
+        }
+        JournalCache {
+            roots_len: roots.len(),
+            roots_fnv: fnv_roots(roots),
+            structure_version: heap.structure_version(),
+            position,
+            reachable,
         }
     }
 
@@ -130,37 +141,13 @@ impl JournalCache {
 /// entry for the open epoch, in journal (first-dirtied) order.
 ///
 /// This is the raw material both of the journal fast path (which re-sorts
-/// it into traversal order via a [`JournalCache`]) and of dynamic
+/// it into traversal order via a `JournalCache`) and of dynamic
 /// cross-validation in `ickp-audit`, which compares it against the set of
 /// objects an audited plan would record. Entries whose object has since
 /// been freed or reset clean are filtered out, so the result is exactly
 /// the set an exhaustive flag-testing sweep of the journal would find.
 pub fn journal_dirty_set(heap: &Heap) -> Vec<ObjectId> {
     heap.journal().iter().copied().filter(|&id| heap.is_modified(id).unwrap_or(false)).collect()
-}
-
-/// Accumulates pre-order positions during one slow-path traversal.
-#[derive(Debug)]
-pub struct JournalCacheBuilder {
-    cache: JournalCache,
-}
-
-impl JournalCacheBuilder {
-    /// Records that the traversal reached `id` (call once per object, at
-    /// first visit, in emission order).
-    pub fn visit(&mut self, id: ObjectId) {
-        if let Some(slot) = self.cache.position.get_mut(id.index()) {
-            if *slot == UNREACHABLE {
-                *slot = self.cache.reachable as u32;
-                self.cache.reachable += 1;
-            }
-        }
-    }
-
-    /// Finishes the recording.
-    pub fn finish(self) -> JournalCache {
-        self.cache
-    }
 }
 
 #[cfg(test)]
@@ -186,12 +173,8 @@ mod tests {
     fn positions_follow_visit_order_and_validity_tracks_structure() {
         let (mut heap, ids) = heap_with_chain();
         let roots = [ids[0]];
-        let mut builder = JournalCache::builder(&heap, &roots);
-        for &id in &ids {
-            builder.visit(id);
-            builder.visit(id); // revisits must not advance the order
-        }
-        let cache = builder.finish();
+        // Revisits must not advance the order.
+        let cache = JournalCache::build(&heap, &roots, ids.iter().flat_map(|&id| [id, id]));
         assert!(cache.is_valid(&heap, &roots));
         assert!(!cache.is_valid(&heap, &[ids[1]]), "different roots");
         assert_eq!(cache.reachable_len(), 3);
@@ -210,11 +193,7 @@ mod tests {
         // root Vec, and must keep rejecting every kind of root-set change.
         let (heap, ids) = heap_with_chain();
         let roots = [ids[0], ids[1]];
-        let mut builder = JournalCache::builder(&heap, &roots);
-        for &id in &ids {
-            builder.visit(id);
-        }
-        let cache = builder.finish();
+        let cache = JournalCache::build(&heap, &roots, ids.iter().copied());
         assert!(cache.is_valid(&heap, &roots));
         assert!(!cache.is_valid(&heap, &[ids[0]]), "shorter root set");
         assert!(!cache.is_valid(&heap, &[ids[0], ids[1], ids[2]]), "longer root set");
@@ -230,11 +209,7 @@ mod tests {
             let node = heap.registry().id_of("Node").unwrap();
             heap.alloc(node).unwrap()
         };
-        let mut builder = JournalCache::builder(&heap, &[ids[0]]);
-        for &id in &ids {
-            builder.visit(id);
-        }
-        let cache = builder.finish();
+        let cache = JournalCache::build(&heap, &[ids[0]], ids.iter().copied());
 
         heap.reset_all_modified();
         heap.finish_journal_epoch();

@@ -58,6 +58,7 @@ mod compact;
 mod digest;
 mod error;
 mod journal;
+mod kernel;
 mod methods;
 mod parallel;
 mod persist;
@@ -72,7 +73,8 @@ pub use checkpoint::{CheckpointConfig, CheckpointRecord, Checkpointer, ShardBala
 pub use compact::compact;
 pub use digest::state_digest;
 pub use error::CoreError;
-pub use journal::{journal_dirty_set, JournalCache, JournalCacheBuilder};
+pub use journal::journal_dirty_set;
+pub use kernel::{Direct, Dispatch, Emit, WalkScratch};
 pub use methods::{FoldFn, MethodTable, RecordFn};
 pub use parallel::{plan_shards, ParallelPhases, ShardAccess, ShardTrace};
 pub use persist::{load_store, save_store, MAX_RECORD_LEN};

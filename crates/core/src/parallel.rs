@@ -3,19 +3,22 @@
 //! [`Checkpointer::checkpoint_parallel`] splits the root set into disjoint
 //! ownership shards (via [`ickp_heap::partition_roots_parallel`] or its
 //! byte-weighted sibling, both of which run the first-touch pre-pass in
-//! parallel), traverses each shard on its own OS thread, and splices the
-//! per-shard record streams back into one stream. The result is **byte-for-byte identical** to what
-//! [`Checkpointer::checkpoint`] produces on the same heap state — same
-//! header, same record order, same footer, same [`TraversalStats`] — so
-//! every downstream consumer (store, compaction, restore, verification) is
-//! oblivious to how the checkpoint was produced.
+//! parallel), runs one kernel walk per shard on its own OS thread,
+//! filtered to the objects the shard owns, and splices the per-shard
+//! record streams back into one stream. The walk is the one
+//! [`Checkpointer::checkpoint`] runs on the caller's thread as the
+//! one-shard case, with a filter that owns everything, so the result is **byte-for-byte identical** — same header, same record
+//! order, same footer, same [`TraversalStats`] — and every downstream
+//! consumer (store, compaction, restore, verification) is oblivious to
+//! how the checkpoint was produced.
 //!
 //! Three properties make this sound:
 //!
-//! 1. **Read-only traversal.** Workers only *read* the heap; the one
-//!    mutation of a checkpoint — resetting modified flags — is deferred and
-//!    applied sequentially after all workers join. The [`MethodTable`]'s
-//!    closures are `Send + Sync`, so one table serves every worker.
+//! 1. **Read-only traversal.** The kernel only *reads* the heap; the one
+//!    mutation of a checkpoint — resetting modified flags — is deferred to
+//!    the epilogue both drivers share, after every walk has succeeded. The
+//!    [`MethodTable`]'s closures are `Send + Sync`, so one table serves
+//!    every worker.
 //! 2. **First-touch ownership.** Each reachable object is owned by exactly
 //!    one shard (the lowest-index shard reaching it), so no object is
 //!    recorded twice and workers can prune their traversal at any foreign
@@ -27,10 +30,10 @@
 
 use crate::checkpoint::{CheckpointRecord, Checkpointer, ShardBalance};
 use crate::error::CoreError;
-use crate::journal::JournalCache;
+use crate::kernel::{Direct, Emit, WalkScratch};
 use crate::methods::MethodTable;
 use crate::stats::TraversalStats;
-use crate::stream::{CheckpointKind, StreamWriter, RECORD_HEADER_BYTES};
+use crate::stream::{StreamWriter, RECORD_HEADER_BYTES};
 use ickp_heap::{
     partition_roots_parallel, partition_roots_weighted, root_weights, Heap, ObjectId, ShardPlan,
     StableId,
@@ -39,7 +42,7 @@ use std::time::{Duration, Instant};
 
 /// A [`ShardPlan`] cached across parallel checkpoints, valid while the
 /// heap structure, root set, and worker count are unchanged (the same
-/// validity rule as [`JournalCache`]).
+/// validity rule as the journal cache).
 #[derive(Debug)]
 pub(crate) struct PlanCache {
     structure_version: u64,
@@ -158,80 +161,6 @@ pub struct ShardTrace {
     pub shards: Vec<ShardAccess>,
 }
 
-/// What one worker hands back: its record bytes plus deferred bookkeeping.
-struct ShardOutput {
-    body: Vec<u8>,
-    records: u32,
-    stats: TraversalStats,
-    /// Objects recorded by this shard, whose modified flags still need
-    /// resetting (workers cannot: they hold the heap immutably).
-    recorded: Vec<ObjectId>,
-    /// Every object this shard visited, in visit order — concatenated in
-    /// shard order this reproduces the sequential depth-first pre-order
-    /// (merge invariant 3), which is what the journal cache needs.
-    /// Collected only when the driver has the journal enabled.
-    visit_order: Vec<ObjectId>,
-}
-
-/// One shard's traversal: the sequential checkpoint loop restricted to the
-/// objects this shard owns, writing into a headerless shard stream.
-fn shard_worker(
-    heap: &Heap,
-    methods: &MethodTable,
-    plan: &ShardPlan,
-    shard: usize,
-    kind: CheckpointKind,
-    collect_order: bool,
-) -> Result<ShardOutput, CoreError> {
-    let mut writer = StreamWriter::new_shard();
-    let mut stats = TraversalStats::default();
-    let mut recorded = Vec::new();
-    let mut visit_order = Vec::new();
-    let mut stack: Vec<ObjectId> = plan.roots(shard).iter().rev().copied().collect();
-    // Dense slot-indexed visited set (see `Heap::arena_size`): cheaper per
-    // step than hashing, and allocated per worker so shards stay independent.
-    let mut visited = vec![false; heap.arena_size()];
-    while let Some(id) = stack.pop() {
-        // Prune at foreign objects: whatever lies beyond them is owned by
-        // an earlier shard (first-touch ownership is reachability-closed).
-        if !plan.owns(shard, id) || std::mem::replace(&mut visited[id.index()], true) {
-            continue;
-        }
-        stats.objects_visited += 1;
-        if collect_order {
-            visit_order.push(id);
-        }
-
-        let record_it = match kind {
-            CheckpointKind::Full => true,
-            CheckpointKind::Incremental => {
-                stats.flag_tests += 1;
-                heap.is_modified(id)?
-            }
-        };
-        let class = heap.class_of(id)?;
-        if record_it {
-            let def = heap.class(class)?;
-            writer.begin_object(heap.stable_id(id)?, class, def.num_slots());
-            stats.virtual_calls += 1;
-            methods.record(class)?(heap, id, &mut writer)?;
-            stats.objects_recorded += 1;
-            recorded.push(id);
-        }
-
-        stats.virtual_calls += 1;
-        let before = stack.len();
-        methods.fold(class)?(heap, id, &mut |child| {
-            stack.push(child);
-            Ok(())
-        })?;
-        stats.refs_followed += (stack.len() - before) as u64;
-        stack[before..].reverse();
-    }
-    let (body, records) = writer.finish_shard();
-    Ok(ShardOutput { body, records, stats, recorded, visit_order })
-}
-
 impl Checkpointer {
     /// Takes one checkpoint of everything reachable from `roots`, spread
     /// over up to `workers` threads.
@@ -327,11 +256,11 @@ impl Checkpointer {
         let kind = self.config.kind;
         let root_ids: Vec<StableId> =
             roots.iter().map(|&r| heap.stable_id(r)).collect::<Result<_, _>>()?;
-        if self.journal_usable(heap, roots) {
+        if self.journal_ready(heap, roots) {
             // The fast path emits O(modified) records sequentially; there
             // is nothing left to parallelize, and the output is the same
             // byte-identical stream either way.
-            let record = self.checkpoint_from_journal(heap, methods, root_ids)?;
+            let record = self.journal_fast_path(heap, &mut Direct(methods), root_ids)?;
             self.last_shard_stats = vec![record.stats()];
             self.last_phases =
                 Some(ParallelPhases { fast_path: true, ..ParallelPhases::default() });
@@ -344,17 +273,34 @@ impl Checkpointer {
             _ => (plan_shards(heap, roots, workers, self.config.balance)?, false),
         };
         let plan_time = plan_timer.elapsed();
-        let journal_wanted = self.config.journal && kind == CheckpointKind::Incremental;
-        let collect_order = journal_wanted || trace;
+        let collect_order = self.journal_wanted() || trace;
+        let shards = plan.num_shards();
+        if self.walks.len() < shards {
+            self.walks.resize_with(shards, WalkScratch::default);
+        }
 
         let traverse_timer = Instant::now();
-        let outputs: Vec<Result<ShardOutput, CoreError>> = std::thread::scope(|scope| {
+        // One kernel walk per shard, restricted to the objects the shard
+        // owns, each writing a headerless shard stream.
+        let outputs: Vec<_> = std::thread::scope(|scope| {
             let heap = &*heap;
             let plan = &plan;
-            let handles: Vec<_> = (0..plan.num_shards())
-                .map(|shard| {
-                    scope.spawn(move || {
-                        shard_worker(heap, methods, plan, shard, kind, collect_order)
+            let handles: Vec<_> = self.walks[..shards]
+                .iter_mut()
+                .enumerate()
+                .map(|(shard, walk)| {
+                    scope.spawn(move || -> Result<_, CoreError> {
+                        let mut writer = StreamWriter::new_shard();
+                        let stats = walk.walk(
+                            heap,
+                            &mut Direct(methods),
+                            plan.roots(shard),
+                            Emit::Records(kind, &mut writer),
+                            |id| plan.owns(shard, id),
+                            collect_order,
+                        )?;
+                        let (body, records) = writer.finish_shard();
+                        Ok((body, records, stats))
                     })
                 })
                 .collect();
@@ -363,46 +309,28 @@ impl Checkpointer {
         let traverse_time = traverse_timer.elapsed();
 
         let merge_timer = Instant::now();
-        let (mut writer, reused) = self.writer_for(seq, kind, &root_ids);
+        let (mut writer, reused) = self.pool.writer(seq, kind, &root_ids);
         let mut stats = TraversalStats::default();
-        let mut to_reset: Vec<ObjectId> = Vec::new();
-        let mut builder = journal_wanted.then(|| JournalCache::builder(heap, roots));
         let mut accesses = trace.then(Vec::new);
         self.last_shard_stats.clear();
-        for output in outputs {
-            let mut out = output?;
+        for (walk, output) in self.walks.iter().zip(outputs) {
+            let (body, records, mut shard_stats) = output?;
             // Per-shard bytes are this shard's body; the aggregate
             // `bytes_written` is replaced by the full stream length below,
             // so the sum here never leaks into the record's stats.
-            out.stats.bytes_written = out.body.len() as u64;
-            writer.append_shard(&out.body, out.records);
-            stats += out.stats;
-            self.last_shard_stats.push(out.stats);
+            shard_stats.bytes_written = body.len() as u64;
+            writer.append_shard(&body, records);
+            stats += shard_stats;
+            self.last_shard_stats.push(shard_stats);
             if let Some(accesses) = &mut accesses {
                 accesses.push(ShardAccess {
-                    visited: out.visit_order.clone(),
-                    recorded: out.recorded.clone(),
-                    stats: out.stats,
+                    visited: walk.order().to_vec(),
+                    recorded: walk.recorded().to_vec(),
+                    stats: shard_stats,
                 });
             }
-            to_reset.extend(out.recorded);
-            if let Some(builder) = &mut builder {
-                // Shard visit orders concatenated in shard order are the
-                // sequential depth-first pre-order (merge invariant 3), so
-                // the cache built here equals the sequential driver's.
-                for id in out.visit_order {
-                    builder.visit(id);
-                }
-            }
         }
-        for id in to_reset {
-            heap.reset_modified(id)?;
-        }
-        if let Some(builder) = builder {
-            self.cache = Some(builder.finish());
-            heap.finish_journal_epoch();
-        }
-        stats.bytes_reused = reused;
+        self.settle(heap, roots, shards)?;
         self.plan_cache = Some(PlanCache {
             structure_version: heap.structure_version(),
             roots: roots.to_vec(),
@@ -410,6 +338,7 @@ impl Checkpointer {
             plan,
         });
 
+        stats.bytes_reused = reused;
         stats.bytes_written = writer.len() as u64;
         let bytes = writer.finish();
         self.last_phases = Some(ParallelPhases {
@@ -419,9 +348,7 @@ impl Checkpointer {
             plan_cached,
             fast_path: false,
         });
-        self.next_seq += 1;
-        self.cumulative += stats;
-        let record = CheckpointRecord::pooled(seq, kind, root_ids, bytes, stats, self.pool.clone());
+        let record = self.seal(seq, root_ids, bytes, stats);
         let shard_trace = accesses.map(|shards| ShardTrace { fast_path: false, shards });
         Ok((record, shard_trace))
     }
@@ -510,6 +437,22 @@ mod tests {
                     workers,
                 );
             }
+        }
+    }
+
+    #[test]
+    fn sequential_checkpoint_is_the_one_shard_case_without_planning() {
+        for config in [CheckpointConfig::full(), CheckpointConfig::incremental().without_journal()]
+        {
+            let (mut heap, table, roots) = world(6);
+            let mut ckp = Checkpointer::new(config);
+            for round in 0..2 {
+                heap.set_field(roots[round], 0, Value::Int(7)).unwrap();
+                ckp.checkpoint(&mut heap, &table, &roots).unwrap();
+            }
+            assert!(ckp.parallel_phases().is_none(), "{config:?}");
+            assert!(ckp.plan_cache.is_none(), "{config:?}: a ShardPlan was built");
+            assert!(ckp.shard_stats().is_empty(), "{config:?}");
         }
     }
 

@@ -12,6 +12,8 @@
 //! [`StreamWriter::with_buffer`]: crate::StreamWriter::with_buffer
 //! [`TraversalStats::bytes_reused`]: crate::TraversalStats::bytes_reused
 
+use crate::stream::{CheckpointKind, StreamWriter};
+use ickp_heap::StableId;
 use std::sync::{Arc, Mutex};
 
 /// A bounded, shareable pool of byte buffers.
@@ -73,6 +75,23 @@ impl BufferPool {
     /// Number of idle buffers currently pooled.
     pub fn idle(&self) -> usize {
         self.lock().len()
+    }
+
+    /// Starts a stream, reusing an idle buffer when there is one. Returns
+    /// the writer and the recycled capacity (for `bytes_reused`).
+    pub(crate) fn writer(
+        &self,
+        seq: u64,
+        kind: CheckpointKind,
+        roots: &[StableId],
+    ) -> (StreamWriter, u64) {
+        match self.acquire() {
+            Some(buf) => {
+                let reused = buf.capacity() as u64;
+                (StreamWriter::with_buffer(buf, seq, kind, roots), reused)
+            }
+            None => (StreamWriter::new(seq, kind, roots), 0),
+        }
     }
 }
 

@@ -5,10 +5,17 @@
 //! `CheckpointRecord`s (same stream format, same store, same restore path)
 //! but runs a compiled [`Plan`] over each root instead of the generic
 //! virtual-dispatch traversal.
+//!
+//! The generic program is still there wherever the plan cannot be used:
+//! a `Dynamic` subtree ([`crate::Op::Generic`]) is one walk of the core
+//! traversal kernel (`ickp_core::WalkScratch`), and
+//! [`SpecializedCheckpointer::checkpoint_or_fallback`] falls back to
+//! `ickp_core::Checkpointer` itself — one kernel walk over all roots.
 
 use crate::plan::{GuardMode, Plan};
 use ickp_core::{
-    CheckpointKind, CheckpointRecord, CoreError, MethodTable, StreamWriter, TraversalStats,
+    CheckpointConfig, CheckpointKind, CheckpointRecord, Checkpointer, CoreError, MethodTable,
+    StreamWriter, TraversalStats,
 };
 use ickp_heap::{Heap, ObjectId, StableId};
 
@@ -159,35 +166,12 @@ impl SpecializedCheckpointer {
             Ok(record) => Ok(FallbackOutcome { record, fell_back: false }),
             Err(CoreError::GuardFailed { .. }) => {
                 heap.mark_all_modified();
-                let seq = self.next_seq;
-                let root_ids: Vec<StableId> =
-                    roots.iter().map(|&r| heap.stable_id(r)).collect::<Result<_, _>>()?;
-                let mut writer = StreamWriter::new(seq, CheckpointKind::Incremental, &root_ids);
-                let mut stats = TraversalStats::default();
-                let mut scratch = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for &root in roots {
-                    crate::plan::generic_incremental_into(
-                        heap,
-                        methods,
-                        root,
-                        &mut writer,
-                        &mut stats,
-                        &mut scratch,
-                        &mut seen,
-                    )?;
-                }
-                stats.bytes_written = writer.len() as u64;
-                let bytes = writer.finish();
+                let mut generic =
+                    Checkpointer::new(CheckpointConfig::incremental().without_journal());
+                generic.set_next_seq(self.next_seq);
+                let record = generic.checkpoint(heap, methods, roots)?;
                 self.next_seq += 1;
-                self.cumulative += stats;
-                let record = CheckpointRecord::from_parts(
-                    seq,
-                    CheckpointKind::Incremental,
-                    root_ids,
-                    bytes,
-                    stats,
-                );
+                self.cumulative += record.stats();
                 Ok(FallbackOutcome { record, fell_back: true })
             }
             Err(other) => Err(other),
