@@ -1519,7 +1519,7 @@ fn recovery(opts: &Options) {
                 .push(ckp.checkpoint(world.heap_mut(), &table, &roots).expect("increment"))
                 .unwrap();
         }
-        let compacted = compact(&store, world.heap().registry()).expect("compaction");
+        let compacted = compact(&store, world.heap()).expect("compaction");
 
         let time_restore = |s: &ickp_core::CheckpointStore| {
             let samples = (0..opts.rounds.max(2))

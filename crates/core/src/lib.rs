@@ -54,14 +54,13 @@
 #![warn(missing_docs)]
 
 mod checkpoint;
-mod compact;
 mod digest;
 mod error;
+mod fold;
 mod journal;
 mod kernel;
 mod methods;
 mod parallel;
-mod persist;
 mod pool;
 mod restore;
 mod sink;
@@ -70,14 +69,13 @@ mod store;
 mod stream;
 
 pub use checkpoint::{CheckpointConfig, CheckpointRecord, Checkpointer, ShardBalance};
-pub use compact::compact;
 pub use digest::state_digest;
 pub use error::CoreError;
+pub use fold::{compact, merge_records};
 pub use journal::journal_dirty_set;
 pub use kernel::{Direct, Dispatch, Emit, WalkScratch};
 pub use methods::{FoldFn, MethodTable, RecordFn};
 pub use parallel::{plan_shards, ParallelPhases, ShardAccess, ShardTrace};
-pub use persist::{load_store, save_store, MAX_RECORD_LEN};
 pub use pool::BufferPool;
 pub use restore::{restore, verify_restore, RestorePolicy, RestoredHeap};
 pub use sink::{AckHook, RecordSink};

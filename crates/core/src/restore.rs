@@ -2,14 +2,16 @@
 //!
 //! The paper relies on unique identifiers "to reconstruct the state from a
 //! sequence of incremental checkpoints"; this module implements and
-//! verifies that claim. [`restore`] decodes every checkpoint in the store,
-//! merges records last-writer-wins per [`StableId`], materializes the
-//! surviving objects into a fresh heap under their original identities, and
+//! verifies that claim. [`restore`] folds the store last-writer-wins per
+//! [`StableId`] (see the `fold` module), materializes the surviving
+//! objects into a fresh heap under their original identities — in
+//! first-touch order, so repeated restores allocate identically — and
 //! re-links references.
 
 use crate::error::CoreError;
+use crate::fold::Fold;
 use crate::store::CheckpointStore;
-use crate::stream::{decode, RecordedObject, RecordedValue};
+use crate::stream::RecordedValue;
 use ickp_heap::{ClassRegistry, Heap, HeapSnapshot, ObjectId, StableId, Value};
 use std::collections::HashMap;
 
@@ -35,7 +37,10 @@ pub enum RestorePolicy {
 pub struct RestoredHeap {
     heap: Heap,
     roots: Vec<ObjectId>,
-    by_stable: HashMap<StableId, ObjectId>,
+    /// Fold position of each restored stable id; indexes `handles`.
+    slot: HashMap<StableId, usize>,
+    /// Handles in allocation (fold) order.
+    handles: Vec<ObjectId>,
 }
 
 impl RestoredHeap {
@@ -57,17 +62,17 @@ impl RestoredHeap {
 
     /// Maps a recorded stable id to its handle in the reconstructed heap.
     pub fn lookup(&self, id: StableId) -> Option<ObjectId> {
-        self.by_stable.get(&id).copied()
+        self.slot.get(&id).map(|&s| self.handles[s])
     }
 
     /// Number of reconstructed objects.
     pub fn len(&self) -> usize {
-        self.by_stable.len()
+        self.handles.len()
     }
 
     /// `true` if nothing was reconstructed.
     pub fn is_empty(&self) -> bool {
-        self.by_stable.is_empty()
+        self.handles.is_empty()
     }
 }
 
@@ -77,7 +82,7 @@ impl RestoredHeap {
 ///
 /// * [`CoreError::EmptyStore`] for an empty store.
 /// * [`CoreError::BaseNotFull`] under [`RestorePolicy::RequireFullBase`].
-/// * Decoding errors from [`decode`].
+/// * Decoding errors from [`decode`](crate::decode).
 /// * [`CoreError::MissingObject`] if a recorded reference (or a root)
 ///   points to a stable id that no checkpoint in the store recorded.
 pub fn restore(
@@ -85,36 +90,24 @@ pub fn restore(
     registry: &ClassRegistry,
     policy: RestorePolicy,
 ) -> Result<RestoredHeap, CoreError> {
-    if store.is_empty() {
-        return Err(CoreError::EmptyStore);
-    }
-    if policy == RestorePolicy::RequireFullBase && !store.starts_full() {
+    if policy == RestorePolicy::RequireFullBase && !store.is_empty() && !store.starts_full() {
         return Err(CoreError::BaseNotFull);
     }
 
-    // Merge: the newest record for each stable id wins.
-    let mut merged: HashMap<StableId, RecordedObject> = HashMap::new();
-    let mut last_roots: Vec<StableId> = Vec::new();
-    for record in store.records() {
-        let decoded = decode(record.bytes(), registry)?;
-        for obj in decoded.objects {
-            merged.insert(obj.stable, obj);
-        }
-        last_roots = decoded.roots;
-    }
-
-    // Materialize under original identities, flags clear (the restored
-    // state is by definition in sync with the last checkpoint).
+    // Materialize in fold order, under original identities, flags clear
+    // (the restored state is by definition in sync with the last
+    // checkpoint).
+    let fold = Fold::of(store.records(), registry)?;
     let mut heap = Heap::new(registry.clone());
-    let mut by_stable: HashMap<StableId, ObjectId> = HashMap::with_capacity(merged.len());
-    for (stable, obj) in &merged {
-        let handle = heap.alloc_restored(obj.class, *stable, false)?;
-        by_stable.insert(*stable, handle);
-    }
+    let handles = fold
+        .objects
+        .iter()
+        .map(|obj| heap.alloc_restored(obj.class, obj.stable, false))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Re-link fields. Unbarriered stores keep the flags clear.
-    for (stable, obj) in &merged {
-        let handle = by_stable[stable];
+    let handle_of = |id| fold.slot_of(id).map(|s| handles[s]);
+    for (obj, &handle) in fold.objects.iter().zip(&handles) {
         for (slot, field) in obj.fields.iter().enumerate() {
             let value = match *field {
                 RecordedValue::Int(v) => Value::Int(v),
@@ -122,22 +115,15 @@ pub fn restore(
                 RecordedValue::Double(v) => Value::Double(v),
                 RecordedValue::Bool(v) => Value::Bool(v),
                 RecordedValue::Ref(None) => Value::Ref(None),
-                RecordedValue::Ref(Some(child)) => {
-                    let target =
-                        by_stable.get(&child).copied().ok_or(CoreError::MissingObject(child))?;
-                    Value::Ref(Some(target))
-                }
+                RecordedValue::Ref(Some(child)) => Value::Ref(Some(handle_of(child)?)),
             };
             heap.set_field_unbarriered(handle, slot, value)?;
         }
     }
 
-    let roots = last_roots
-        .iter()
-        .map(|r| by_stable.get(r).copied().ok_or(CoreError::MissingObject(*r)))
-        .collect::<Result<Vec<_>, _>>()?;
+    let roots = fold.roots.iter().map(|&r| handle_of(r)).collect::<Result<_, _>>()?;
 
-    Ok(RestoredHeap { heap, roots, by_stable })
+    Ok(RestoredHeap { heap, roots, slot: fold.slot, handles })
 }
 
 /// Verifies that a restore reproduced the live state: captures logical
@@ -264,6 +250,45 @@ mod tests {
         let restored = restore(&run.store, run.heap.registry(), RestorePolicy::Lenient).unwrap();
         assert_eq!(restored.len(), 3);
         assert_eq!(verify_restore(&run.heap, &[run.head], &restored).unwrap(), None);
+    }
+
+    #[test]
+    fn restore_allocates_in_first_touch_order_every_time() {
+        // A 24-node list recorded whole, then increments that touch a
+        // scattering of old nodes and prepend fresh ones.
+        let (reg, node) = registry();
+        let mut heap = Heap::new(reg);
+        let mut head = heap.alloc(node).unwrap();
+        for _ in 0..23 {
+            let n = heap.alloc(node).unwrap();
+            heap.set_field(n, 1, Value::Ref(Some(head))).unwrap();
+            head = n;
+        }
+        let table = MethodTable::derive(heap.registry());
+        let mut ckp = Checkpointer::new(CheckpointConfig::incremental());
+        let mut store = CheckpointStore::new();
+        store.push(ckp.checkpoint(&mut heap, &table, &[head]).unwrap()).unwrap();
+        let nodes: Vec<ObjectId> = heap.iter_live().collect();
+        for round in 0..3 {
+            for &n in nodes.iter().rev().step_by(3 + round) {
+                heap.set_field(n, 0, Value::Int(round as i32)).unwrap();
+            }
+            let fresh = heap.alloc(node).unwrap();
+            heap.set_field(fresh, 1, Value::Ref(Some(head))).unwrap();
+            head = fresh;
+            store.push(ckp.checkpoint(&mut heap, &table, &[head]).unwrap()).unwrap();
+        }
+
+        // Replay meets the base list head-first (ids 24 down to 1), then
+        // each round's fresh head (25, 26, 27).
+        let first_touch: Vec<StableId> = (1..=24).rev().chain(25..=27).map(StableId).collect();
+        for _ in 0..2 {
+            let r = restore(&store, heap.registry(), RestorePolicy::Lenient).unwrap();
+            let ids: Vec<StableId> =
+                r.heap().iter_live().map(|id| r.heap().stable_id(id).unwrap()).collect();
+            assert_eq!(ids, first_touch);
+            assert_eq!(verify_restore(&heap, &[head], &r).unwrap(), None);
+        }
     }
 
     #[test]

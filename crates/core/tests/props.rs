@@ -182,7 +182,7 @@ fn compaction_is_semantics_preserving() {
             store.push(ckp.checkpoint(&mut heap, &table, &[root]).unwrap()).unwrap();
         }
 
-        let compacted = ickp_core::compact(&store, heap.registry()).unwrap();
+        let compacted = ickp_core::compact(&store, &heap).unwrap();
         let a = restore(&store, heap.registry(), RestorePolicy::Lenient).unwrap();
         let b = restore(&compacted, heap.registry(), RestorePolicy::RequireFullBase).unwrap();
         assert_eq!(verify_restore(&heap, &[root], &a).unwrap(), None, "case {case}");

@@ -15,7 +15,8 @@
 //! contain records of since-collected objects; restore materializes them
 //! again (they are unreachable in the restored heap too, and a
 //! [`crate::Heap::collect`] there reclaims them — or use
-//! `ickp_core::compact` to drop them from the store itself).
+//! `ickp_core::compact`, which drops from the store every record that the
+//! tip's roots no longer reach and the live heap no longer allocates).
 
 use crate::heap::Heap;
 use crate::ids::ObjectId;

@@ -58,9 +58,8 @@
 #![deny(missing_docs)]
 
 mod manager;
-mod merge;
 mod retention;
 
+pub use ickp_core::merge_records;
 pub use manager::{CheckpointManager, LifecycleConfig, LifecycleStats, RetentionReport};
-pub use merge::merge_records;
 pub use retention::{RetentionPlan, RetentionPolicy};

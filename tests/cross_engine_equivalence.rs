@@ -167,7 +167,7 @@ fn compaction_after_parallel_checkpoints_preserves_state() {
             store.push(backend.checkpoint(world.heap_mut(), &roots).unwrap()).unwrap();
         }
 
-        let compacted = compact(&store, &registry).unwrap();
+        let compacted = compact(&store, world.heap()).unwrap();
         assert_eq!(compacted.len(), 1, "case {case}");
         let rebuilt = restore(&compacted, &registry, RestorePolicy::RequireFullBase).unwrap();
         assert_eq!(verify_restore(world.heap(), &roots, &rebuilt).unwrap(), None, "case {case}");

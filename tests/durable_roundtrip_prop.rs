@@ -1,17 +1,14 @@
 //! Randomized round-trip property: for random worlds, random
 //! modification sequences and every execution engine, a checkpoint run
-//! survives *both* persistence paths — the in-memory ICKS container
-//! (`save_store`/`load_store`) and the crash-safe segmented durable
-//! store — and restores to exactly the live state, including after
-//! `compact`.
+//! survives both paths into the crash-safe segmented durable store — the
+//! chain as recorded, and the chain after `compact` — and restores to
+//! exactly the live state.
 //!
 //! Driven by the in-repo seeded PRNG; each case is fully determined by
 //! its seed, named in the assertion message for replay.
 
 use ickp::backend::{Engine, GenericBackend};
-use ickp::core::{
-    compact, load_store, restore, save_store, verify_restore, CheckpointStore, RestorePolicy,
-};
+use ickp::core::{compact, decode, restore, verify_restore, CheckpointStore, RestorePolicy};
 use ickp::durable::{DurableConfig, DurableStore, MemFs};
 use ickp::heap::ClassRegistry;
 use ickp::synth::{ModificationSpec, SynthConfig, SynthWorld};
@@ -69,18 +66,7 @@ fn random_runs_round_trip_through_both_persistence_paths() {
                 store.push(backend.checkpoint(world.heap_mut(), &roots).unwrap()).unwrap();
             }
 
-            // Path 1: the ICKS container.
-            let mut disk = Vec::new();
-            save_store(&store, &mut disk).unwrap();
-            let loaded = load_store(disk.as_slice(), &registry).unwrap();
-            let rebuilt = restore(&loaded, &registry, RestorePolicy::Lenient).unwrap();
-            assert_eq!(
-                verify_restore(world.heap(), &roots, &rebuilt).unwrap(),
-                None,
-                "case {case} engine {engine} via ICKS"
-            );
-
-            // Path 2: the durable segmented store.
+            // Path 1: the chain as recorded.
             let recovered = through_durable(&store, &registry, segment_target);
             assert_eq!(recovered.len(), store.len(), "case {case} engine {engine}");
             for (a, b) in store.records().iter().zip(recovered.records()) {
@@ -93,8 +79,8 @@ fn random_runs_round_trip_through_both_persistence_paths() {
                 "case {case} engine {engine} via durable"
             );
 
-            // Compaction commutes with durable persistence.
-            let compacted = compact(&store, &registry).unwrap();
+            // Path 2: compaction commutes with durable persistence.
+            let compacted = compact(&store, world.heap()).unwrap();
             let recovered = through_durable(&compacted, &registry, segment_target);
             let rebuilt = restore(&recovered, &registry, RestorePolicy::Lenient).unwrap();
             assert_eq!(
@@ -104,4 +90,31 @@ fn random_runs_round_trip_through_both_persistence_paths() {
             );
         }
     }
+}
+
+/// Compaction carries the tip's sequence number in the record header and
+/// in its wire bytes alike, so the durable store, which recovers headers
+/// by decoding the bytes, round-trips it.
+#[test]
+fn compaction_carries_its_sequence_number_through_the_durable_store() {
+    let mut world = SynthWorld::build(SynthConfig::small()).unwrap();
+    let registry = world.heap().registry().clone();
+    let roots = world.roots().to_vec();
+    let mut backend = GenericBackend::new(Engine::Jdk12, &registry);
+    let mut store = CheckpointStore::new();
+    world.heap_mut().mark_all_modified();
+    store.push(backend.checkpoint(world.heap_mut(), &roots).unwrap()).unwrap();
+    for pct in [50u8, 20, 70] {
+        world.apply_modifications(&ModificationSpec::uniform(pct));
+        store.push(backend.checkpoint(world.heap_mut(), &roots).unwrap()).unwrap();
+    }
+    let latest_seq = store.latest().unwrap().seq();
+    assert!(latest_seq > 0, "the run must advance the sequence");
+
+    let compacted = compact(&store, world.heap()).unwrap();
+    let rec = compacted.latest().unwrap();
+    assert_eq!(rec.seq(), latest_seq);
+    assert_eq!(decode(rec.bytes(), &registry).unwrap().seq, latest_seq);
+    let recovered = through_durable(&compacted, &registry, 1 << 20);
+    assert_eq!(recovered.latest().unwrap().seq(), latest_seq);
 }

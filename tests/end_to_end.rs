@@ -214,7 +214,7 @@ fn garbage_collection_checkpointing_and_compaction_compose() {
     assert!(rebuilt.len() > heap.len(), "restore materializes dead records too");
 
     // Compaction sheds them from the store for good.
-    let compacted = compact(&store, heap.registry()).unwrap();
+    let compacted = compact(&store, &heap).unwrap();
     let rebuilt2 = restore(&compacted, heap.registry(), RestorePolicy::RequireFullBase).unwrap();
     assert_eq!(verify_restore(&heap, &[head], &rebuilt2).unwrap(), None);
     assert_eq!(rebuilt2.len(), heap.len(), "compacted store holds only the live set");
