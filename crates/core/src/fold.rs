@@ -6,97 +6,183 @@
 //!
 //! * [`restore`](crate::restore) folds the store and materializes the
 //!   result, allocating objects in fold order;
-//! * [`merge_records`] folds a run of records and re-encodes it as one
-//!   record (a retention merge);
+//! * [`merge_records`] folds a run of records into one record (a
+//!   retention merge);
 //! * [`compact`] folds the whole store, drops what the producer can no
-//!   longer reach, and re-encodes the rest as one full record.
+//!   longer reach, and writes the rest as one full record.
 //!
-//! The fold keeps, per stable id, the **last** recorded state, and keeps
+//! The fold keeps, per stable id, the **last** recorded version, and keeps
 //! the objects in **first-touch** order (the order in which replaying the
 //! chain first meets them). Restore allocates in that order, so restoring
 //! a merged chain materializes the same heap — same values *and* same
 //! allocation order — as restoring the original chain.
 //!
-//! Objects are re-encoded with the ordinary [`StreamWriter`], so an
-//! object whose state came through unchanged re-encodes to exactly the
-//! bytes the original record held — which is what lets the durable
-//! layer's content-hash dedup recognise it.
+//! The fold is an index, not a copy: it borrows the records, validates
+//! each one once with [`scan`], and remembers only *where* each object's
+//! last version lives (record index and byte offset). Restore reads field
+//! values straight from those bytes. Merge and compaction copy each
+//! winning object's record bytes verbatim, so an object whose state came
+//! through unchanged keeps exactly the bytes the original record held —
+//! which is what lets the durable layer's content-hash dedup recognise
+//! it.
 
 use crate::checkpoint::CheckpointRecord;
 use crate::error::CoreError;
 use crate::stats::TraversalStats;
 use crate::store::CheckpointStore;
-use crate::stream::{decode, CheckpointKind, RecordedObject, RecordedValue, StreamWriter};
-use ickp_heap::{ClassRegistry, Heap, StableId};
-use std::collections::hash_map::Entry;
+use crate::stream::{
+    read_fields, scan, CheckpointKind, RecordedValue, StreamWriter, RECORD_HEADER_BYTES,
+};
+use ickp_heap::{ClassId, ClassRegistry, Heap, StableId};
 use std::collections::HashMap;
 
-/// A chain of records folded last-writer-wins per stable id.
-pub(crate) struct Fold {
-    /// The last recorded state of each object, in first-touch order.
-    pub(crate) objects: Vec<RecordedObject>,
-    /// Position of each stable id in `objects`.
-    pub(crate) slot: HashMap<StableId, usize>,
-    /// The tip record's sequence number.
-    seq: u64,
-    /// The tip record's roots.
-    pub(crate) roots: Vec<StableId>,
+/// The fold position of each stable id.
+///
+/// The heap hands out stable ids densely from 1, so an id below the
+/// number of object records the folded bytes could hold indexes a table
+/// directly: no hashing, and a chain recorded in allocation order walks
+/// the table almost sequentially. Any other id — one the bytes cannot
+/// justify, whether crafted or left sparse by long GC churn — goes to a
+/// std map, whose keyed hash keeps crafted ids from colliding. The table
+/// grows only as ids arrive and never past that bound, so no count read
+/// from a stream sizes an allocation. EXPERIMENTS.md ("The id → slot
+/// map") measures it against a plain map and counts the ids each path
+/// takes.
+#[derive(Debug, Default)]
+pub(crate) struct SlotIndex {
+    /// `dense[id]` is the slot of `id` plus one; 0 marks an absent id.
+    dense: Vec<usize>,
+    /// Ids below this bound live in `dense`, all others in `sparse`.
+    bound: u64,
+    /// Slot plus one of each id at or above `bound`.
+    sparse: HashMap<StableId, usize>,
 }
 
-impl Fold {
-    /// Decodes `records` in order and folds them.
+impl SlotIndex {
+    /// An index for the ids of a chain of `bytes` record bytes.
+    fn for_bytes(bytes: usize) -> SlotIndex {
+        SlotIndex { bound: (bytes / RECORD_HEADER_BYTES) as u64, ..SlotIndex::default() }
+    }
+
+    /// The slot of `id`, if the index holds it.
+    pub(crate) fn get(&self, id: StableId) -> Option<usize> {
+        let entry = if id.raw() < self.bound {
+            self.dense.get(id.raw() as usize)
+        } else {
+            self.sparse.get(&id)
+        };
+        entry.and_then(|s| s.checked_sub(1))
+    }
+
+    /// The entry of `id`: its slot plus one, or 0 if absent.
+    fn entry(&mut self, id: StableId) -> &mut usize {
+        if id.raw() < self.bound {
+            // Below the bound, so the id fits a `usize`.
+            let at = id.raw() as usize;
+            if at >= self.dense.len() {
+                self.dense.resize(at + 1, 0);
+            }
+            &mut self.dense[at]
+        } else {
+            self.sparse.entry(id).or_insert(0)
+        }
+    }
+}
+
+/// Where the last recorded version of one object lives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Version {
+    /// The object's stable identity.
+    pub(crate) stable: StableId,
+    /// Its class (valid for the registry the fold scanned with).
+    pub(crate) class: ClassId,
+    /// Index of the record holding this version in the folded chain.
+    record: usize,
+    /// Byte offset of the version's field bytes in that record.
+    fields: usize,
+}
+
+/// A chain of records folded last-writer-wins per stable id.
+pub(crate) struct Fold<'a> {
+    records: &'a [CheckpointRecord],
+    /// The registry the records were validated against.
+    registry: &'a ClassRegistry,
+    /// The last version of each object, in first-touch order.
+    pub(crate) versions: Vec<Version>,
+    /// Position of each stable id in `versions`.
+    pub(crate) slot: SlotIndex,
+}
+
+impl<'a> Fold<'a> {
+    /// Validates `records` in order and folds them.
     ///
     /// # Errors
     ///
-    /// [`CoreError::EmptyStore`] for an empty chain; decoding errors from
-    /// [`decode`].
+    /// [`CoreError::EmptyStore`] for an empty chain; validation errors
+    /// from [`scan`].
     pub(crate) fn of(
-        records: &[CheckpointRecord],
-        registry: &ClassRegistry,
-    ) -> Result<Fold, CoreError> {
-        let tip = records.last().ok_or(CoreError::EmptyStore)?;
-        let mut objects: Vec<RecordedObject> = Vec::new();
-        let mut slot: HashMap<StableId, usize> = HashMap::new();
-        for record in records {
-            for obj in decode(record.bytes(), registry)?.objects {
-                match slot.entry(obj.stable) {
-                    Entry::Occupied(e) => objects[*e.get()] = obj,
-                    Entry::Vacant(e) => {
-                        e.insert(objects.len());
-                        objects.push(obj);
+        records: &'a [CheckpointRecord],
+        registry: &'a ClassRegistry,
+    ) -> Result<Fold<'a>, CoreError> {
+        if records.is_empty() {
+            return Err(CoreError::EmptyStore);
+        }
+        // Neither container is sized from counts in the stream: a
+        // hostile count must not size an allocation.
+        let mut versions: Vec<Version> = Vec::new();
+        let mut slot = SlotIndex::for_bytes(records.iter().map(|r| r.bytes().len()).sum());
+        for (record, r) in records.iter().enumerate() {
+            scan(r.bytes(), registry, |stable, class, fields| {
+                let version = Version { stable, class, record, fields: fields.start };
+                let entry = slot.entry(stable);
+                match entry.checked_sub(1) {
+                    Some(s) => versions[s] = version,
+                    None => {
+                        versions.push(version);
+                        *entry = versions.len();
                     }
                 }
-            }
+            })?;
         }
-        Ok(Fold { objects, slot, seq: tip.seq(), roots: tip.roots().to_vec() })
+        Ok(Fold { records, registry, versions, slot })
+    }
+
+    fn tip(&self) -> &'a CheckpointRecord {
+        self.records.last().expect("a fold holds at least one record")
+    }
+
+    /// The tip record's roots.
+    pub(crate) fn roots(&self) -> &'a [StableId] {
+        self.tip().roots()
     }
 
     /// The fold position of `id`, or [`CoreError::MissingObject`] if no
     /// record in the chain defines it.
     pub(crate) fn slot_of(&self, id: StableId) -> Result<usize, CoreError> {
-        self.slot.get(&id).copied().ok_or(CoreError::MissingObject(id))
+        self.slot.get(id).ok_or(CoreError::MissingObject(id))
     }
 
-    /// Encodes the objects `keep` selects, in fold order, as one record
-    /// carrying the tip's sequence number and roots.
+    /// The field values of `version`, read from its record's bytes.
+    pub(crate) fn fields(&self, version: &Version) -> impl Iterator<Item = RecordedValue> + 'a {
+        let def = self.registry.class(version.class).expect("the fold validated the class");
+        read_fields(self.records[version.record].bytes(), version.fields, def.layout())
+    }
+
+    /// Copies the record bytes of the versions `keep` selects, in fold
+    /// order, into one record carrying the tip's sequence number and
+    /// roots.
     fn encode(&self, kind: CheckpointKind, keep: impl Fn(usize) -> bool) -> CheckpointRecord {
-        let mut w = StreamWriter::new(self.seq, kind, &self.roots);
-        for obj in self.objects.iter().enumerate().filter(|(i, _)| keep(*i)).map(|(_, o)| o) {
-            w.begin_object(obj.stable, obj.class, obj.fields.len());
-            for field in &obj.fields {
-                match *field {
-                    RecordedValue::Int(v) => w.write_int(v),
-                    RecordedValue::Long(v) => w.write_long(v),
-                    RecordedValue::Double(v) => w.write_double(v),
-                    RecordedValue::Bool(v) => w.write_bool(v),
-                    RecordedValue::Ref(v) => w.write_ref(v),
-                }
-            }
+        let sizes: Vec<usize> = self.registry.iter().map(|def| def.encoded_state_size()).collect();
+        let tip = self.tip();
+        let mut w = StreamWriter::new(tip.seq(), kind, tip.roots());
+        for (_, v) in self.versions.iter().enumerate().filter(|&(i, _)| keep(i)) {
+            let record = &self.records[v.record].bytes()[v.fields - RECORD_HEADER_BYTES..];
+            w.append_shard(&record[..RECORD_HEADER_BYTES + sizes[v.class.index()]], 1);
         }
         CheckpointRecord::from_parts(
-            self.seq,
+            tip.seq(),
             kind,
-            self.roots.clone(),
+            tip.roots().to_vec(),
             w.finish(),
             TraversalStats::default(),
         )
@@ -112,7 +198,8 @@ impl Fold {
 ///
 /// # Errors
 ///
-/// [`CoreError`] decode failures if a record does not match `registry`.
+/// [`CoreError`] validation failures from [`scan`] if a record does not
+/// match `registry`.
 ///
 /// # Panics
 ///
@@ -142,24 +229,24 @@ pub fn merge_records(
 /// # Errors
 ///
 /// * [`CoreError::EmptyStore`] for an empty store.
-/// * Decoding errors from [`decode`].
+/// * Validation errors from [`scan`].
 /// * [`CoreError::MissingObject`] if a kept object (or a root) references
 ///   a stable id no record defines.
 pub fn compact(store: &CheckpointStore, live: &Heap) -> Result<CheckpointStore, CoreError> {
     let fold = Fold::of(store.records(), live.registry())?;
-    let mut stack = fold.roots.iter().map(|&r| fold.slot_of(r)).collect::<Result<Vec<_>, _>>()?;
+    let mut stack = fold.roots().iter().map(|&r| fold.slot_of(r)).collect::<Result<Vec<_>, _>>()?;
     for id in live.iter_live() {
-        if let Some(&s) = fold.slot.get(&live.stable_id(id)?) {
+        if let Some(s) = fold.slot.get(live.stable_id(id)?) {
             stack.push(s);
         }
     }
-    let mut keep = vec![false; fold.objects.len()];
+    let mut keep = vec![false; fold.versions.len()];
     while let Some(s) = stack.pop() {
         if std::mem::replace(&mut keep[s], true) {
             continue;
         }
-        for field in &fold.objects[s].fields {
-            if let RecordedValue::Ref(Some(child)) = *field {
+        for field in fold.fields(&fold.versions[s]) {
+            if let RecordedValue::Ref(Some(child)) = field {
                 stack.push(fold.slot_of(child)?);
             }
         }
@@ -339,6 +426,48 @@ mod tests {
         for chain in [&store, &compacted] {
             let rebuilt = restore(chain, heap.registry(), RestorePolicy::Lenient).unwrap();
             assert_eq!(verify_restore(&heap, &[head], &rebuilt).unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn ids_beyond_what_the_bytes_justify_fold_through_the_sparse_map() {
+        let (heap, node) = node_heap();
+        let registry = heap.registry();
+        // One small record: its bytes justify only a handful of dense
+        // ids, so the large ones take the sparse path.
+        let ids = [StableId(3), StableId(1 << 40), StableId(u64::MAX)];
+        let mut w = StreamWriter::new(0, CheckpointKind::Full, &ids[..1]);
+        for (i, &id) in ids.iter().enumerate() {
+            w.begin_object(id, node, 2);
+            w.write_int(i as i32);
+            w.write_ref(ids.get(i + 1).copied());
+        }
+        let bytes = w.finish();
+        let record = CheckpointRecord::from_parts(
+            0,
+            CheckpointKind::Full,
+            vec![ids[0]],
+            bytes,
+            TraversalStats::default(),
+        );
+        let fold = Fold::of(std::slice::from_ref(&record), registry).unwrap();
+        assert!(ids[1].raw() >= fold.slot.bound);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(fold.slot_of(id).unwrap(), i);
+        }
+        assert_eq!(fold.slot_of(StableId(4)).unwrap_err(), CoreError::MissingObject(StableId(4)));
+
+        let mut store = CheckpointStore::new();
+        store.push(record).unwrap();
+        let rebuilt = restore(&store, registry, RestorePolicy::Lenient).unwrap();
+        let mut at = rebuilt.roots()[0];
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(rebuilt.lookup(id), Some(at));
+            assert_eq!(rebuilt.heap().field(at, 0).unwrap(), Value::Int(i as i32));
+            match rebuilt.heap().field(at, 1).unwrap() {
+                Value::Ref(Some(next)) => at = next,
+                other => assert_eq!((i, other), (ids.len() - 1, Value::Ref(None))),
+            }
         }
     }
 

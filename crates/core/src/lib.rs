@@ -82,6 +82,6 @@ pub use sink::{AckHook, RecordSink};
 pub use stats::TraversalStats;
 pub use store::CheckpointStore;
 pub use stream::{
-    decode, object_slices, CheckpointKind, DecodedCheckpoint, RecordedObject, RecordedValue,
-    StreamLayout, StreamWriter, MAGIC, RECORD_HEADER_BYTES, VERSION,
+    decode, object_slices, scan, CheckpointKind, DecodedCheckpoint, RecordedObject, RecordedValue,
+    StreamHeader, StreamLayout, StreamWriter, MAGIC, RECORD_HEADER_BYTES, VERSION,
 };

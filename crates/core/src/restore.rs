@@ -6,14 +6,14 @@
 //! [`StableId`] (see the `fold` module), materializes the surviving
 //! objects into a fresh heap under their original identities — in
 //! first-touch order, so repeated restores allocate identically — and
-//! re-links references.
+//! re-links references, reading each field straight from the bytes of
+//! the record that holds the object's last version.
 
 use crate::error::CoreError;
-use crate::fold::Fold;
+use crate::fold::{Fold, SlotIndex};
 use crate::store::CheckpointStore;
 use crate::stream::RecordedValue;
 use ickp_heap::{ClassRegistry, Heap, HeapSnapshot, ObjectId, StableId, Value};
-use std::collections::HashMap;
 
 /// How strictly [`restore`] validates the store before replaying it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub struct RestoredHeap {
     heap: Heap,
     roots: Vec<ObjectId>,
     /// Fold position of each restored stable id; indexes `handles`.
-    slot: HashMap<StableId, usize>,
+    slot: SlotIndex,
     /// Handles in allocation (fold) order.
     handles: Vec<ObjectId>,
 }
@@ -62,7 +62,7 @@ impl RestoredHeap {
 
     /// Maps a recorded stable id to its handle in the reconstructed heap.
     pub fn lookup(&self, id: StableId) -> Option<ObjectId> {
-        self.slot.get(&id).map(|&s| self.handles[s])
+        self.slot.get(id).map(|s| self.handles[s])
     }
 
     /// Number of reconstructed objects.
@@ -82,7 +82,7 @@ impl RestoredHeap {
 ///
 /// * [`CoreError::EmptyStore`] for an empty store.
 /// * [`CoreError::BaseNotFull`] under [`RestorePolicy::RequireFullBase`].
-/// * Decoding errors from [`decode`](crate::decode).
+/// * Validation errors from [`scan`](crate::scan).
 /// * [`CoreError::MissingObject`] if a recorded reference (or a root)
 ///   points to a stable id that no checkpoint in the store recorded.
 pub fn restore(
@@ -100,16 +100,16 @@ pub fn restore(
     let fold = Fold::of(store.records(), registry)?;
     let mut heap = Heap::new(registry.clone());
     let handles = fold
-        .objects
+        .versions
         .iter()
-        .map(|obj| heap.alloc_restored(obj.class, obj.stable, false))
+        .map(|v| heap.alloc_restored(v.class, v.stable, false))
         .collect::<Result<Vec<_>, _>>()?;
 
     // Re-link fields. Unbarriered stores keep the flags clear.
     let handle_of = |id| fold.slot_of(id).map(|s| handles[s]);
-    for (obj, &handle) in fold.objects.iter().zip(&handles) {
-        for (slot, field) in obj.fields.iter().enumerate() {
-            let value = match *field {
+    for (version, &handle) in fold.versions.iter().zip(&handles) {
+        for (slot, field) in fold.fields(version).enumerate() {
+            let value = match field {
                 RecordedValue::Int(v) => Value::Int(v),
                 RecordedValue::Long(v) => Value::Long(v),
                 RecordedValue::Double(v) => Value::Double(v),
@@ -121,7 +121,7 @@ pub fn restore(
         }
     }
 
-    let roots = fold.roots.iter().map(|&r| handle_of(r)).collect::<Result<_, _>>()?;
+    let roots = fold.roots().iter().map(|&r| handle_of(r)).collect::<Result<_, _>>()?;
 
     Ok(RestoredHeap { heap, roots, slot: fold.slot, handles })
 }

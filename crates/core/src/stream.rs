@@ -2,7 +2,8 @@
 //!
 //! This is the Rust analog of the paper's `DataOutputStream` composed with a
 //! `ByteArrayOutputStream`: an append-only byte sink with fixed-width
-//! big-endian primitive writers, plus a decoder used by restore.
+//! big-endian primitive writers, plus [`scan`], the one validating reader
+//! every consumer of the format goes through.
 //!
 //! ## Layout
 //!
@@ -19,7 +20,8 @@
 //! together by identity.
 
 use crate::error::CoreError;
-use ickp_heap::{ClassId, ClassRegistry, FieldType, StableId};
+use ickp_heap::{ClassDef, ClassId, ClassRegistry, FieldDef, FieldType, StableId};
+use std::ops::Range;
 
 /// Magic bytes opening every checkpoint stream.
 pub const MAGIC: [u8; 4] = *b"ICKP";
@@ -37,6 +39,10 @@ const TAG_END: u8 = 0xFF;
 /// this to each class's encoded state size to predict a record's exact
 /// stream footprint.
 pub const RECORD_HEADER_BYTES: usize = 1 + 8 + 4 + 2;
+
+/// Bytes of the stream header before its root table: magic (4), version
+/// (2), seq (8), kind (1), root count (4).
+const HEADER_FIXED_BYTES: usize = 4 + 2 + 8 + 1 + 4;
 
 /// Whether a checkpoint records everything or only modified objects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -283,17 +289,101 @@ pub struct StreamLayout {
     pub objects: Vec<std::ops::Range<usize>>,
 }
 
-/// Scans an encoded checkpoint stream and returns its [`StreamLayout`]
-/// without materializing any field values.
+/// Returns the [`StreamLayout`] of an encoded checkpoint stream without
+/// materializing any field values: a thin wrapper over [`scan`].
 ///
 /// The ranges tile the stream exactly: header, then the object ranges
 /// back-to-back, then the footer.
 ///
 /// # Errors
 ///
-/// Fails like [`decode`] on malformed bytes, unknown classes, or field
-/// counts that disagree with the registry's layouts.
+/// Fails like [`scan`].
 pub fn object_slices(bytes: &[u8], registry: &ClassRegistry) -> Result<StreamLayout, CoreError> {
+    let mut objects = Vec::new();
+    let header = scan(bytes, registry, |_, _, fields| {
+        objects.push(fields.start - RECORD_HEADER_BYTES..fields.end);
+    })?;
+    Ok(StreamLayout { header_len: HEADER_FIXED_BYTES + 8 * header.roots.len(), objects })
+}
+
+/// Decodes one checkpoint stream against the class registry it was
+/// produced with, materializing every field value: a thin wrapper over
+/// [`scan`].
+///
+/// # Errors
+///
+/// Fails like [`scan`].
+pub fn decode(bytes: &[u8], registry: &ClassRegistry) -> Result<DecodedCheckpoint, CoreError> {
+    let mut objects = Vec::new();
+    let StreamHeader { seq, kind, roots } = scan(bytes, registry, |stable, class, fields| {
+        let layout = registry.class(class).expect("scan validated the class").layout();
+        objects.push(RecordedObject {
+            stable,
+            class,
+            fields: read_fields(bytes, fields.start, layout).collect(),
+        });
+    })?;
+    Ok(DecodedCheckpoint { seq, kind, roots, objects })
+}
+
+/// The header of one checkpoint stream, as [`scan`] reads it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamHeader {
+    /// Sequence number within the run.
+    pub seq: u64,
+    /// Full or incremental.
+    pub kind: CheckpointKind,
+    /// Stable ids of the checkpoint roots.
+    pub roots: Vec<StableId>,
+}
+
+/// Validates one checkpoint stream against `registry` in a single pass,
+/// reporting each object record to `on_object` as its stable id, class
+/// and the byte range of its field bytes — without materializing any
+/// field value and without allocating per object.
+///
+/// This is the format's one validator: [`decode`] and [`object_slices`]
+/// are thin wrappers over it, and recovery (restore, the durable store's
+/// `open`, a follower's apply) calls it directly. It checks the magic,
+/// version, kind byte and root table, every record tag, every class
+/// against the registry, every field count against its class layout,
+/// every boolean byte (0 or 1), and the footer's record count, and it
+/// rejects trailing bytes. `on_object` may run for records before a
+/// later one fails validation; callers that act on objects must discard
+/// that work on error.
+///
+/// # Errors
+///
+/// [`CoreError::Decode`] for malformed bytes,
+/// [`CoreError::UnknownClassIndex`] for class ids outside the registry,
+/// and [`CoreError::FieldCountMismatch`] if a record disagrees with its
+/// class layout.
+///
+/// # Example
+///
+/// ```
+/// use ickp_core::{scan, CheckpointKind, StreamWriter};
+/// use ickp_heap::{ClassRegistry, FieldType, StableId};
+///
+/// let mut reg = ClassRegistry::new();
+/// let leaf = reg.define("Leaf", None, &[("v", FieldType::Int)]).unwrap();
+/// let mut w = StreamWriter::new(4, CheckpointKind::Full, &[StableId(1)]);
+/// w.begin_object(StableId(1), leaf, 1);
+/// w.write_int(7);
+/// let bytes = w.finish();
+///
+/// let mut seen = Vec::new();
+/// let header = scan(&bytes, &reg, |stable, _, fields| seen.push((stable, fields))).unwrap();
+/// assert_eq!((header.seq, header.roots.len()), (4, 1));
+/// let (stable, fields) = seen[0].clone();
+/// assert_eq!(stable, StableId(1));
+/// assert_eq!(&bytes[fields], &7i32.to_be_bytes());
+/// ```
+pub fn scan(
+    bytes: &[u8],
+    registry: &ClassRegistry,
+    mut on_object: impl FnMut(StableId, ClassId, Range<usize>),
+) -> Result<StreamHeader, CoreError> {
     let mut c = Cursor { bytes, pos: 0 };
     if c.take(4)? != MAGIC {
         return Err(CoreError::Decode { offset: 0, what: "bad magic".into() });
@@ -305,44 +395,51 @@ pub fn object_slices(bytes: &[u8], registry: &ClassRegistry) -> Result<StreamLay
             what: format!("unsupported version {version}"),
         });
     }
-    let _seq = c.u64()?;
+    let seq = c.u64()?;
     let kind_off = c.pos;
-    CheckpointKind::from_byte(c.u8()?, kind_off)?;
+    let kind = CheckpointKind::from_byte(c.u8()?, kind_off)?;
     let nroots = c.u32()? as usize;
+    // The count is untrusted: reserve no more roots than the bytes left
+    // could hold.
+    let mut roots = Vec::with_capacity(nroots.min((bytes.len() - c.pos) / 8));
     for _ in 0..nroots {
-        c.u64()?;
+        roots.push(StableId(c.u64()?));
     }
-    let header_len = c.pos;
-    let mut objects = Vec::new();
+    let shapes: Vec<Shape> = registry.iter().map(Shape::of).collect();
+    let mut records = 0usize;
     loop {
         let tag_off = c.pos;
         match c.u8()? {
             TAG_OBJECT => {
-                let _stable = c.u64()?;
+                let stable = StableId(c.u64()?);
                 let class_index = c.u32()?;
+                let shape = *shapes
+                    .get(class_index as usize)
+                    .ok_or(CoreError::UnknownClassIndex(class_index))?;
                 let class = ClassId::from_index(class_index as usize);
-                let def =
-                    registry.class(class).map_err(|_| CoreError::UnknownClassIndex(class_index))?;
                 let nfields = c.u16()? as usize;
-                if nfields != def.num_slots() {
+                let def = || registry.class(class).expect("every shape has a class");
+                if nfields != shape.slots {
                     return Err(CoreError::FieldCountMismatch {
-                        class: def.name().to_string(),
+                        class: def().name().to_string(),
                         recorded: nfields,
-                        expected: def.num_slots(),
+                        expected: shape.slots,
                     });
                 }
-                c.take(def.encoded_state_size())?;
-                objects.push(tag_off..c.pos);
+                let at = c.pos;
+                if shape.bools || bytes.len() - at < shape.size {
+                    check_fields(bytes, at, def().layout())?;
+                }
+                c.pos = at + shape.size;
+                records += 1;
+                on_object(stable, class, at..c.pos);
             }
             TAG_END => {
                 let declared = c.u32()? as usize;
-                if declared != objects.len() {
+                if declared != records {
                     return Err(CoreError::Decode {
                         offset: tag_off,
-                        what: format!(
-                            "footer declares {declared} records, stream has {}",
-                            objects.len()
-                        ),
+                        what: format!("footer declares {declared} records, stream has {records}"),
                     });
                 }
                 if c.pos != bytes.len() {
@@ -351,7 +448,7 @@ pub fn object_slices(bytes: &[u8], registry: &ClassRegistry) -> Result<StreamLay
                         what: "trailing bytes after footer".into(),
                     });
                 }
-                return Ok(StreamLayout { header_len, objects });
+                return Ok(StreamHeader { seq, kind, roots });
             }
             other => {
                 return Err(CoreError::Decode {
@@ -363,6 +460,77 @@ pub fn object_slices(bytes: &[u8], registry: &ClassRegistry) -> Result<StreamLay
     }
 }
 
+/// What [`scan`] needs of one class: its field count, the encoded size
+/// of its fields, and whether any of them is a boolean (whose byte must
+/// be checked).
+#[derive(Clone, Copy)]
+struct Shape {
+    slots: usize,
+    size: usize,
+    bools: bool,
+}
+
+impl Shape {
+    fn of(def: &ClassDef) -> Shape {
+        Shape {
+            slots: def.num_slots(),
+            size: def.encoded_state_size(),
+            bools: def.layout().iter().any(|f| f.ty() == FieldType::Bool),
+        }
+    }
+}
+
+/// Walks the field bytes at `at` field by field, as a value-by-value
+/// reader would: the first field that runs past the end, or the first
+/// boolean byte that is neither 0 nor 1, is the error.
+fn check_fields(bytes: &[u8], mut at: usize, layout: &[FieldDef]) -> Result<(), CoreError> {
+    for f in layout {
+        let n = f.ty().encoded_size();
+        if at + n > bytes.len() {
+            return Err(truncated(at, n));
+        }
+        if f.ty() == FieldType::Bool && bytes[at] > 1 {
+            return Err(CoreError::Decode {
+                offset: at,
+                what: format!("invalid boolean byte {}", bytes[at]),
+            });
+        }
+        at += n;
+    }
+    Ok(())
+}
+
+fn truncated(offset: usize, wanted: usize) -> CoreError {
+    CoreError::Decode { offset, what: format!("unexpected end of stream (wanted {wanted} bytes)") }
+}
+
+/// Reads the field values of one record whose field bytes start at `at`
+/// and follow `layout`. The bytes must have passed [`scan`].
+pub(crate) fn read_fields<'a>(
+    bytes: &'a [u8],
+    mut at: usize,
+    layout: &'a [FieldDef],
+) -> impl Iterator<Item = RecordedValue> + 'a {
+    layout.iter().map(move |f| {
+        let word = |n: usize| {
+            let mut be = [0u8; 8];
+            be[8 - n..].copy_from_slice(&bytes[at..at + n]);
+            u64::from_be_bytes(be)
+        };
+        let value = match f.ty() {
+            FieldType::Int => RecordedValue::Int(word(4) as u32 as i32),
+            FieldType::Long => RecordedValue::Long(word(8) as i64),
+            FieldType::Double => RecordedValue::Double(f64::from_bits(word(8))),
+            FieldType::Bool => RecordedValue::Bool(bytes[at] == 1),
+            FieldType::Ref(_) => {
+                RecordedValue::Ref(Some(word(8)).filter(|&raw| raw != 0).map(StableId))
+            }
+        };
+        at += f.ty().encoded_size();
+        value
+    })
+}
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -371,10 +539,7 @@ struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
         if self.pos + n > self.bytes.len() {
-            return Err(CoreError::Decode {
-                offset: self.pos,
-                what: format!("unexpected end of stream (wanted {n} bytes)"),
-            });
+            return Err(truncated(self.pos, n));
         }
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
@@ -395,118 +560,6 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self) -> Result<u64, CoreError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("length checked")))
-    }
-
-    fn i32(&mut self) -> Result<i32, CoreError> {
-        Ok(i32::from_be_bytes(self.take(4)?.try_into().expect("length checked")))
-    }
-
-    fn i64(&mut self) -> Result<i64, CoreError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().expect("length checked")))
-    }
-}
-
-/// Decodes one checkpoint stream against the class registry it was
-/// produced with.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Decode`] for malformed bytes,
-/// [`CoreError::UnknownClassIndex`] for class ids outside the registry, and
-/// [`CoreError::FieldCountMismatch`] if a record disagrees with its class
-/// layout.
-pub fn decode(bytes: &[u8], registry: &ClassRegistry) -> Result<DecodedCheckpoint, CoreError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    let magic = c.take(4)?;
-    if magic != MAGIC {
-        return Err(CoreError::Decode { offset: 0, what: "bad magic".into() });
-    }
-    let version = c.u16()?;
-    if version != VERSION {
-        return Err(CoreError::Decode {
-            offset: 4,
-            what: format!("unsupported version {version}"),
-        });
-    }
-    let seq = c.u64()?;
-    let kind_off = c.pos;
-    let kind = CheckpointKind::from_byte(c.u8()?, kind_off)?;
-    let nroots = c.u32()? as usize;
-    let mut roots = Vec::with_capacity(nroots.min(1024));
-    for _ in 0..nroots {
-        roots.push(StableId(c.u64()?));
-    }
-    let mut objects = Vec::new();
-    loop {
-        let tag_off = c.pos;
-        match c.u8()? {
-            TAG_OBJECT => {
-                let stable = StableId(c.u64()?);
-                let class_index = c.u32()?;
-                let class = ClassId::from_index(class_index as usize);
-                let def =
-                    registry.class(class).map_err(|_| CoreError::UnknownClassIndex(class_index))?;
-                let nfields = c.u16()? as usize;
-                if nfields != def.num_slots() {
-                    return Err(CoreError::FieldCountMismatch {
-                        class: def.name().to_string(),
-                        recorded: nfields,
-                        expected: def.num_slots(),
-                    });
-                }
-                let mut fields = Vec::with_capacity(nfields);
-                for f in def.layout() {
-                    fields.push(match f.ty() {
-                        FieldType::Int => RecordedValue::Int(c.i32()?),
-                        FieldType::Long => RecordedValue::Long(c.i64()?),
-                        FieldType::Double => RecordedValue::Double(f64::from_bits(c.u64()?)),
-                        FieldType::Bool => {
-                            let off = c.pos;
-                            match c.u8()? {
-                                0 => RecordedValue::Bool(false),
-                                1 => RecordedValue::Bool(true),
-                                b => {
-                                    return Err(CoreError::Decode {
-                                        offset: off,
-                                        what: format!("invalid boolean byte {b}"),
-                                    })
-                                }
-                            }
-                        }
-                        FieldType::Ref(_) => {
-                            let raw = c.u64()?;
-                            RecordedValue::Ref(if raw == 0 { None } else { Some(StableId(raw)) })
-                        }
-                    });
-                }
-                objects.push(RecordedObject { stable, class, fields });
-            }
-            TAG_END => {
-                let declared = c.u32()? as usize;
-                if declared != objects.len() {
-                    return Err(CoreError::Decode {
-                        offset: tag_off,
-                        what: format!(
-                            "footer declares {declared} records, stream has {}",
-                            objects.len()
-                        ),
-                    });
-                }
-                if c.pos != bytes.len() {
-                    return Err(CoreError::Decode {
-                        offset: c.pos,
-                        what: "trailing bytes after footer".into(),
-                    });
-                }
-                return Ok(DecodedCheckpoint { seq, kind, roots, objects });
-            }
-            other => {
-                return Err(CoreError::Decode {
-                    offset: tag_off,
-                    what: format!("invalid record tag {other:#x}"),
-                })
-            }
-        }
     }
 }
 
@@ -548,6 +601,181 @@ mod tests {
         w.write_bool(false);
         w.write_ref(None);
         w.finish()
+    }
+
+    /// The value-by-value decoder `decode` was before it became a wrapper
+    /// over [`scan`], kept as the differential oracle for the one
+    /// validator.
+    fn reference_decode(
+        bytes: &[u8],
+        registry: &ClassRegistry,
+    ) -> Result<DecodedCheckpoint, CoreError> {
+        let decode_err = |offset, what: String| CoreError::Decode { offset, what };
+        let mut c = Cursor { bytes, pos: 0 };
+        if c.take(4)? != MAGIC {
+            return Err(decode_err(0, "bad magic".into()));
+        }
+        let version = c.u16()?;
+        if version != VERSION {
+            return Err(decode_err(4, format!("unsupported version {version}")));
+        }
+        let seq = c.u64()?;
+        let kind = CheckpointKind::from_byte(c.u8()?, 14)?;
+        let nroots = c.u32()? as usize;
+        let mut roots = Vec::new();
+        for _ in 0..nroots {
+            roots.push(StableId(c.u64()?));
+        }
+        let mut objects = Vec::new();
+        loop {
+            let tag_off = c.pos;
+            match c.u8()? {
+                TAG_OBJECT => {
+                    let stable = StableId(c.u64()?);
+                    let class_index = c.u32()?;
+                    let class = ClassId::from_index(class_index as usize);
+                    let def = registry
+                        .class(class)
+                        .map_err(|_| CoreError::UnknownClassIndex(class_index))?;
+                    let nfields = c.u16()? as usize;
+                    if nfields != def.num_slots() {
+                        return Err(CoreError::FieldCountMismatch {
+                            class: def.name().to_string(),
+                            recorded: nfields,
+                            expected: def.num_slots(),
+                        });
+                    }
+                    let mut fields = Vec::new();
+                    for f in def.layout() {
+                        let off = c.pos;
+                        fields.push(match f.ty() {
+                            FieldType::Int => RecordedValue::Int(c.u32()? as i32),
+                            FieldType::Long => RecordedValue::Long(c.u64()? as i64),
+                            FieldType::Double => RecordedValue::Double(f64::from_bits(c.u64()?)),
+                            FieldType::Bool => match c.u8()? {
+                                0 => RecordedValue::Bool(false),
+                                1 => RecordedValue::Bool(true),
+                                b => {
+                                    return Err(decode_err(
+                                        off,
+                                        format!("invalid boolean byte {b}"),
+                                    ))
+                                }
+                            },
+                            FieldType::Ref(_) => {
+                                RecordedValue::Ref(Some(c.u64()?).filter(|&r| r != 0).map(StableId))
+                            }
+                        });
+                    }
+                    objects.push(RecordedObject { stable, class, fields });
+                }
+                TAG_END => {
+                    let declared = c.u32()? as usize;
+                    if declared != objects.len() {
+                        let what = format!(
+                            "footer declares {declared} records, stream has {}",
+                            objects.len()
+                        );
+                        return Err(decode_err(tag_off, what));
+                    }
+                    if c.pos != bytes.len() {
+                        return Err(decode_err(c.pos, "trailing bytes after footer".into()));
+                    }
+                    return Ok(DecodedCheckpoint { seq, kind, roots, objects });
+                }
+                other => return Err(decode_err(tag_off, format!("invalid record tag {other:#x}"))),
+            }
+        }
+    }
+
+    /// A decoded checkpoint with doubles compared by bit pattern (the
+    /// sample stream records a NaN).
+    fn by_bits(d: &DecodedCheckpoint) -> impl PartialEq + std::fmt::Debug {
+        let value = |v: &RecordedValue| match *v {
+            RecordedValue::Double(x) => RecordedValue::Long(x.to_bits() as i64),
+            other => other,
+        };
+        let objects: Vec<_> = d
+            .objects
+            .iter()
+            .map(|o| (o.stable, o.class, o.fields.iter().map(value).collect::<Vec<_>>()))
+            .collect();
+        (d.seq, d.kind, d.roots.clone(), objects)
+    }
+
+    #[test]
+    fn scan_and_decode_agree_on_every_hostile_variant_of_a_valid_stream() {
+        use crate::checkpoint::CheckpointRecord;
+        use crate::fold::merge_records;
+        use crate::restore::{restore, RestorePolicy};
+        use crate::stats::TraversalStats;
+        use crate::store::CheckpointStore;
+
+        let (reg, node) = registry();
+        let good = sample_stream(node);
+        let mut cases: Vec<Vec<u8>> = Vec::new();
+        for i in 0..good.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut bytes = good.clone();
+                bytes[i] ^= mask;
+                cases.push(bytes);
+            }
+        }
+        cases.extend((0..good.len()).map(|cut| good[..cut].to_vec()));
+        // Inflated counts: the root table (bytes 15..19) and the footer.
+        let mut roots = good.clone();
+        roots[15..19].copy_from_slice(&u32::MAX.to_be_bytes());
+        let mut footer = good.clone();
+        let n = footer.len();
+        footer[n - 4..].copy_from_slice(&u32::MAX.to_be_bytes());
+        cases.extend([roots, footer, good.clone()]);
+
+        let mut rejected = 0;
+        for (i, bytes) in cases.iter().enumerate() {
+            let reference = reference_decode(bytes, &reg);
+            let decoded = decode(bytes, &reg);
+            let mut seen = Vec::new();
+            let scanned = scan(bytes, &reg, |stable, class, fields| {
+                seen.push((stable, class, fields));
+            });
+            let sliced = object_slices(bytes, &reg);
+            match (&reference, &decoded) {
+                (Ok(r), Ok(d)) => {
+                    assert_eq!(by_bits(r), by_bits(d), "case {i}");
+                    let header = scanned.unwrap();
+                    assert_eq!((header.seq, header.kind, &header.roots), (d.seq, d.kind, &d.roots));
+                    let objects: Vec<_> = seen.iter().map(|(s, c, _)| (*s, *c)).collect();
+                    let expected: Vec<_> = d.objects.iter().map(|o| (o.stable, o.class)).collect();
+                    assert_eq!(objects, expected, "case {i}");
+                    let ranges: Vec<_> =
+                        seen.iter().map(|(_, _, f)| f.start - RECORD_HEADER_BYTES..f.end).collect();
+                    assert_eq!(sliced.unwrap().objects, ranges, "case {i}");
+                }
+                (Err(r), Err(d)) => {
+                    // One validator: the same error, offset and all.
+                    assert_eq!(r, d, "case {i}");
+                    assert_eq!(&scanned.unwrap_err(), d, "case {i}");
+                    assert_eq!(&sliced.unwrap_err(), d, "case {i}");
+                    // And restore or merge over a chain holding it
+                    // report it, typed.
+                    let record = CheckpointRecord::from_parts(
+                        0,
+                        CheckpointKind::Full,
+                        Vec::new(),
+                        bytes.clone(),
+                        TraversalStats::default(),
+                    );
+                    let mut store = CheckpointStore::new();
+                    store.push(record.clone()).unwrap();
+                    assert_eq!(&restore(&store, &reg, RestorePolicy::Lenient).unwrap_err(), d);
+                    assert_eq!(&merge_records(&[record], &reg).unwrap_err(), d);
+                    rejected += 1;
+                }
+                _ => panic!("case {i}: reference {reference:?}, decode {decoded:?}"),
+            }
+        }
+        // Every truncation and both inflated counts are among them.
+        assert!(rejected > good.len() + 2, "only {rejected} of {} cases rejected", cases.len());
     }
 
     #[test]

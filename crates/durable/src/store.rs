@@ -58,10 +58,11 @@
 //! manifest is CRC-validated, orphan files are removed, every segment is
 //! truncated back to its committed length (bytes past the frontier are a
 //! torn tail from a crash mid-append — expected, and discarded), and the
-//! frames inside the frontier are CRC-checked and decoded. Any anomaly
-//! *inside* the frontier — missing segment, short segment, bad CRC — is
-//! real corruption and surfaces as [`DurableError::Corrupt`] rather than
-//! being silently dropped.
+//! frames inside the frontier are CRC-checked and validated with
+//! [`ickp_core::scan`]. Any anomaly *inside* the frontier — missing
+//! segment, short segment, bad CRC, a payload that is not a valid
+//! checkpoint stream — is real corruption and surfaces as
+//! [`DurableError::Corrupt`] rather than being silently dropped.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -70,7 +71,7 @@ use crate::crc::{crc32, crc32_update};
 use crate::dedup::{ChunkIndex, DedupStats, Staging};
 use crate::error::DurableError;
 use crate::vfs::Vfs;
-use ickp_core::{decode, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats};
+use ickp_core::{scan, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats};
 use ickp_heap::ClassRegistry;
 
 const SEGMENT_MAGIC: [u8; 4] = *b"ICKD";
@@ -398,12 +399,14 @@ impl<F: Vfs> DurableStore<F> {
     /// # Errors
     ///
     /// * [`DurableError::Corrupt`] for damage inside the committed
-    ///   frontier (never auto-repaired).
+    ///   frontier (never auto-repaired), naming the segment and frame —
+    ///   including a frame that passes its CRC but does not hold a valid
+    ///   checkpoint stream for `registry`.
     /// * [`DurableError::SequenceGap`] if the recovered records are not
     ///   contiguous (generation 0) or not strictly increasing (after a
     ///   rewrite).
-    /// * [`DurableError::Fs`] / [`DurableError::Core`] for I/O and decode
-    ///   failures.
+    /// * [`DurableError::Fs`] / [`DurableError::Core`] for I/O and
+    ///   chain-assembly failures.
     pub fn open(
         fs: F,
         config: DurableConfig,
@@ -523,26 +526,31 @@ impl<F: Vfs> DurableStore<F> {
                     .decode(stored_payload)
                     .map_err(|(part_at, what)| corrupt((body_at + part_at) as u64, what))?;
 
-                let decoded = decode(&payload, registry)?;
+                // A payload can pass its CRC and still not be a valid
+                // ICKP stream (written wrong, or read back with the
+                // wrong registry): name the segment and frame.
+                let header = scan(&payload, registry, |_, _, _| {}).map_err(|e| {
+                    corrupt(offset as u64, format!("frame holds an invalid checkpoint: {e}"))
+                })?;
                 if let Some(last) = recovered.latest() {
                     // Generation 0 is untouched append-only history:
                     // sequence numbers are contiguous. After a rewrite,
                     // retention merges leave gaps; order still holds.
-                    if manifest.generation == 0 && decoded.seq != last.seq() + 1 {
+                    if manifest.generation == 0 && header.seq != last.seq() + 1 {
                         return Err(DurableError::SequenceGap {
                             expected: last.seq() + 1,
-                            got: decoded.seq,
+                            got: header.seq,
                         });
                     }
                 }
+                store.seqs.push(header.seq);
                 let record = CheckpointRecord::from_parts(
-                    decoded.seq,
-                    decoded.kind,
-                    decoded.roots,
+                    header.seq,
+                    header.kind,
+                    header.roots,
                     payload,
                     TraversalStats::default(),
                 );
-                store.seqs.push(decoded.seq);
                 if manifest.generation == 0 {
                     recovered.push(record)?;
                 } else {
@@ -1205,6 +1213,48 @@ mod tests {
             matches!(err, DurableError::Corrupt { .. } | DurableError::Core(_)),
             "unexpected error: {err}"
         );
+    }
+
+    #[test]
+    fn a_crc_valid_frame_holding_an_invalid_record_names_its_segment_and_frame() {
+        use ickp_core::{CheckpointKind, StreamWriter};
+        use ickp_heap::StableId;
+        let mut reg = ClassRegistry::new();
+        let flag = reg.define("Flag", None, &[("b", FieldType::Bool)]).unwrap();
+        let record = |seq: u64, byte: u8| {
+            let mut w = StreamWriter::new(seq, CheckpointKind::Full, &[]);
+            w.begin_object(StableId(1), flag, 1);
+            w.write_bool(true);
+            let mut bytes = w.finish();
+            let at = bytes.len() - 6; // the boolean, just before the footer
+            bytes[at] = byte;
+            CheckpointRecord::from_parts(
+                seq,
+                CheckpointKind::Full,
+                Vec::new(),
+                bytes,
+                TraversalStats::default(),
+            )
+        };
+        let mut fs = MemFs::new();
+        let mut store = DurableStore::create(&mut fs, DurableConfig::default()).unwrap();
+        store.append(&record(0, 1)).unwrap();
+        store.append(&record(1, 7)).unwrap(); // framed and CRC'd as given
+        drop(store);
+
+        let seg = fs.read(&segment_name(0)).unwrap();
+        let first = SEGMENT_HEADER_LEN as usize;
+        let first_len = u32::from_be_bytes(seg[first..first + 4].try_into().unwrap()) as usize;
+        let second = (first + FRAME_HEADER_LEN as usize + first_len) as u64;
+        match DurableStore::open(&mut fs, DurableConfig::default(), &reg) {
+            Err(DurableError::Corrupt { file, offset, what }) => {
+                assert_eq!(file, segment_name(0));
+                assert_eq!(offset, second);
+                assert!(what.contains("invalid boolean byte 7"), "{what}");
+            }
+            Err(other) => panic!("expected a typed corruption error, got {other}"),
+            Ok(_) => panic!("an invalid record must not open"),
+        }
     }
 
     #[test]

@@ -37,7 +37,8 @@
 use std::ops::Range;
 
 use ickp_core::{
-    decode, object_slices, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats,
+    object_slices, scan, CheckpointRecord, CheckpointStore, CoreError, RecordSink, TraversalStats,
+    RECORD_HEADER_BYTES,
 };
 use ickp_durable::{DedupStats, DurableConfig, DurableError, DurableStore, Vfs};
 use ickp_heap::ClassRegistry;
@@ -160,8 +161,7 @@ impl<F: Vfs> FollowerNode<F> {
         }
         match msg {
             WireMessage::Batch { payloads, .. } => {
-                let records = records_from_payloads(payloads, registry)?;
-                let layouts = layouts_for(&records, registry, dedup)?;
+                let (records, layouts) = records_from_payloads(payloads, registry, dedup)?;
                 self.store
                     .append_batch_deduped(&records, &layouts)
                     .map_err(ReplicateError::Follower)?;
@@ -173,8 +173,7 @@ impl<F: Vfs> FollowerNode<F> {
                 self.store.remove_tag(&label).map_err(ReplicateError::Follower)?;
             }
             WireMessage::Rewrite { payloads, tags, .. } => {
-                let records = records_from_payloads(payloads, registry)?;
-                let layouts = layouts_for(&records, registry, dedup)?;
+                let (records, layouts) = records_from_payloads(payloads, registry, dedup)?;
                 self.store.rewrite(&records, &layouts, &tags).map_err(ReplicateError::Follower)?;
             }
             WireMessage::Ack { .. } => {
@@ -186,25 +185,38 @@ impl<F: Vfs> FollowerNode<F> {
     }
 }
 
+/// The object-record byte ranges of one record: its chunk layout for
+/// dedup-aware storage.
+type Layout = Vec<Range<usize>>;
+
 /// Rebuilds owned records from shipped payload bytes. The payload *is*
 /// the record's exact byte stream, so the rebuilt record is
 /// byte-identical to the primary's; `seq`, `kind` and the root set are
-/// re-derived by decoding.
+/// re-derived by validating it with [`scan`]. The same pass yields each
+/// record's chunk layout (see [`layouts_for`]).
 fn records_from_payloads(
     payloads: Vec<Vec<u8>>,
     registry: &ClassRegistry,
-) -> Result<Vec<CheckpointRecord>, ReplicateError> {
+    dedup: bool,
+) -> Result<(Vec<CheckpointRecord>, Vec<Layout>), ReplicateError> {
     payloads
         .into_iter()
         .map(|payload| {
-            let d = decode(&payload, registry).map_err(ReplicateError::Core)?;
-            Ok(CheckpointRecord::from_parts(
-                d.seq,
-                d.kind,
-                d.roots,
+            let mut objects = Vec::new();
+            let h = scan(&payload, registry, |_, _, fields| {
+                if dedup {
+                    objects.push(fields.start - RECORD_HEADER_BYTES..fields.end);
+                }
+            })
+            .map_err(ReplicateError::Core)?;
+            let record = CheckpointRecord::from_parts(
+                h.seq,
+                h.kind,
+                h.roots,
                 payload,
                 TraversalStats::default(),
-            ))
+            );
+            Ok((record, objects))
         })
         .collect()
 }
@@ -215,7 +227,7 @@ fn layouts_for(
     records: &[CheckpointRecord],
     registry: &ClassRegistry,
     dedup: bool,
-) -> Result<Vec<Vec<Range<usize>>>, ReplicateError> {
+) -> Result<Vec<Layout>, ReplicateError> {
     if !dedup {
         return Ok(vec![Vec::new(); records.len()]);
     }
