@@ -1,9 +1,11 @@
 //! Barrier-coverage pass: statically prove the dirty-set journal sound.
 //!
-//! The journal fast path rests on three obligations every heap mutator
-//! must honour (see `ickp_heap::MutationCatalog`): byte changes are
-//! journaled, shape changes bump `structure_version`, and dirty state is
-//! only cleared by the checkpoint protocol. This pass abstract-interprets
+//! The journal fast path and the shard-plan repair rest on four
+//! obligations every heap mutator must honour (see
+//! `ickp_heap::MutationCatalog`): byte changes are journaled, shape
+//! changes bump `structure_version`, dirty state is only cleared by the
+//! checkpoint protocol, and every reference store and free is named in
+//! the structural log. This pass abstract-interprets
 //! a mutation catalog against that protocol from two sides:
 //!
 //! * **declarations** — the registered [`DeclaredEffect`] bits must be
@@ -15,12 +17,13 @@
 //!   version/epoch deltas) must match what was declared.
 //!
 //! Under-declarations and protocol breaches are errors (`AUD301`,
-//! `AUD302`, `AUD304`, `AUD306`); over-journaling and over-declaration
-//! are lints (`AUD303`, `AUD305`). The dynamic half,
+//! `AUD302`, `AUD304`, `AUD306`, `AUD307`); over-journaling and
+//! over-declaration are lints (`AUD303`, `AUD305`). The dynamic half,
 //! [`cross_validate_barriers`], replays randomized mutation sequences
 //! through the same [`MutatorSpec`] trait and checks journal ⊇ ground
 //! truth (byte-diff against a pre-op snapshot), version-bump exactness,
-//! epoch discipline, and the O(1) live-dirty counter, step by step.
+//! log coverage, epoch discipline, and the O(1) live-dirty counter, step
+//! by step.
 
 #![deny(missing_docs)]
 
@@ -29,9 +32,9 @@ use crate::soundness::RECORD_HEADER_BYTES;
 use ickp_core::journal_dirty_set;
 use ickp_heap::{
     reachable_from, DeclaredEffect, DirtyScope, Heap, HeapError, MutationCatalog, MutationProbe,
-    MutatorDecl, ObjectId, Value, PUBLIC_MUTATORS,
+    MutatorDecl, ObjectId, StructureEvent, Value, PUBLIC_MUTATORS,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Fixed salt for deterministic single-shot probes.
 const PROBE_SALT: u64 = 0x1CEB_00DA;
@@ -84,6 +87,10 @@ pub struct BarrierProbe {
     pub structure_changed: bool,
     /// Whether `structure_version` changed.
     pub version_bumped: bool,
+    /// Objects whose reference slots changed, or that were freed, without
+    /// the structural log naming them — the count behind `AUD307`. Zero
+    /// when the log answers "unknown", which is always safe.
+    pub unlogged_shape_changes: usize,
     /// Dirty→clean transitions among objects live on both sides.
     pub cleared_dirty: usize,
     /// Whether the journal epoch advanced.
@@ -182,6 +189,21 @@ pub fn audit_barriers_with(
                 .with_suggestion("bump the structure version on every shape change"),
             );
         }
+        if effect.structure_may_change && !effect.logs_structure {
+            report.push(
+                Diagnostic::new(
+                    Severity::Error,
+                    DiagCode::BarrierUnloggedShapeChange,
+                    at(),
+                    "declares that it can change the graph's shape without naming the \
+                     writer or the freed object in the structural log: a repaired shard \
+                     plan would miss the change",
+                )
+                .with_suggestion(
+                    "route reference stores through `set_field` and frees through `free`",
+                ),
+            );
+        }
         if (effect.clears_dirty || effect.clears_epoch) && !effect.checkpoint_protocol {
             report.push(
                 Diagnostic::new(
@@ -236,6 +258,18 @@ pub fn audit_barriers_with(
                 at(),
                 "probe changed graph shape without a `structure_version` bump: cached \
                  traversal orders would go stale undetected",
+            ));
+        }
+        if observed.unlogged_shape_changes > 0 {
+            report.push(Diagnostic::new(
+                Severity::Error,
+                DiagCode::BarrierUnloggedShapeChange,
+                at(),
+                format!(
+                    "probe rewired or freed {} object(s) the structural log does not name: \
+                     a repaired shard plan would keep their old owners",
+                    observed.unlogged_shape_changes
+                ),
             ));
         }
         if (observed.cleared_dirty > 0 || observed.epoch_advanced) && !effect.checkpoint_protocol {
@@ -335,6 +369,35 @@ fn is_ref(v: Value) -> bool {
     matches!(v, Value::Ref(_))
 }
 
+/// Objects live before an operation whose reference slots it changed, or
+/// that it freed, without the structural log since `pre_version` naming
+/// them. An unknown log (`None`) forces a plan rebuild, so it hides
+/// nothing and counts zero.
+fn unlogged_shape_changes(
+    heap: &Heap,
+    pre_version: u64,
+    pre: &HashMap<ObjectId, ObjSnap>,
+    post: &HashMap<ObjectId, ObjSnap>,
+) -> usize {
+    let Some(changes) = heap.structure_changes_since(pre_version) else {
+        return 0;
+    };
+    let logged: HashSet<StructureEvent> = changes.iter().copied().collect();
+    pre.iter()
+        .filter(|(&id, was)| match post.get(&id) {
+            None => !logged.contains(&StructureEvent::Free(id)),
+            Some(now) => {
+                let rewired = was
+                    .fields
+                    .iter()
+                    .zip(now.fields.iter())
+                    .any(|(&a, &b)| is_ref(a) && !value_eq(a, b));
+                rewired && !logged.contains(&StructureEvent::Store(id))
+            }
+        })
+        .count()
+}
+
 /// Clones `heap`, prepares it at a clean epoch boundary with sacrificial
 /// garbage and a pre-dirtied seed, and runs one probe of `spec`.
 fn run_probe(
@@ -373,6 +436,7 @@ fn run_probe(
         unjournaled_writes: 0,
         structure_changed: false,
         version_bumped: scratch.structure_version() != pre_version,
+        unlogged_shape_changes: unlogged_shape_changes(&scratch, pre_version, &pre, &post),
         cleared_dirty: 0,
         epoch_advanced: scratch.journal_epoch() != pre_epoch,
         all_dirty_post: post.values().all(|s| s.modified),
@@ -438,6 +502,8 @@ pub struct BarrierOracleReport {
     /// `structure_version` changes with an unchanged traversal order
     /// (allowed — the version is conservative — but counted).
     pub conservative_bumps: usize,
+    /// Rewired or freed objects the structural log did not name.
+    pub unlogged_shape_changes: usize,
     /// Dirty flags cleared or epochs advanced by non-protocol operations.
     pub epoch_violations: usize,
     /// Steps where `Heap::live_dirty` disagreed with a ground-truth scan.
@@ -454,6 +520,7 @@ impl BarrierOracleReport {
     pub fn is_consistent(&self) -> bool {
         self.under_journaled == 0
             && self.missed_version_bumps == 0
+            && self.unlogged_shape_changes == 0
             && self.epoch_violations == 0
             && self.counter_mismatches == 0
     }
@@ -462,13 +529,15 @@ impl BarrierOracleReport {
     pub fn render(&self) -> String {
         format!(
             "{} op(s)/{} step(s), {} window(s): {} under-journaled, {} missed bump(s) \
-             ({} conservative), {} epoch violation(s), {} counter mismatch(es) => {}",
+             ({} conservative), {} unlogged shape change(s), {} epoch violation(s), \
+             {} counter mismatch(es) => {}",
             self.ops_applied,
             self.steps,
             self.windows_closed,
             self.under_journaled,
             self.missed_version_bumps,
             self.conservative_bumps,
+            self.unlogged_shape_changes,
             self.epoch_violations,
             self.counter_mismatches,
             if self.is_consistent() { "consistent" } else { "INCONSISTENT" }
@@ -499,6 +568,9 @@ fn splitmix(state: &mut u64) -> u64 {
 /// * **version-bump exactness** — any change of the depth-first traversal
 ///   order comes with a `structure_version` change (extra conservative
 ///   bumps are counted, not flagged);
+/// * **log coverage** — every object whose reference slots changed, and
+///   every freed object, is named in the structural log (unless the log
+///   answers "unknown");
 /// * **epoch discipline** — dirty flags and the epoch only move under
 ///   checkpoint-protocol ops;
 /// * **the live-dirty counter** — [`Heap::live_dirty`] equals a
@@ -591,6 +663,13 @@ pub fn cross_validate_barriers(
         }
         if !order_changed && version_changed {
             report.conservative_bumps += 1;
+        }
+
+        // Log coverage: every rewire and free is named.
+        let unlogged = unlogged_shape_changes(&scratch, pre_version, &pre, &post);
+        if unlogged > 0 {
+            report.unlogged_shape_changes += unlogged;
+            report.violation(step, spec.name(), format!("{unlogged} shape change(s) unlogged"));
         }
 
         // Epoch discipline.

@@ -145,6 +145,11 @@ pub enum DiagCode {
     /// A public heap mutator is absent from the audited `MutationCatalog`,
     /// so nothing proves its barrier obligations (`AUD306`).
     BarrierUncataloged,
+    /// A mutator can change the graph's shape without naming the writer
+    /// (or the freed object) in the heap's structural log: a repaired
+    /// shard plan misses the change and the parallel stream diverges
+    /// (`AUD307`).
+    BarrierUnloggedShapeChange,
     /// A reachable crash state contains un-fsynced bytes the client was
     /// already acknowledged for: a crash loses an acknowledged record
     /// (`AUD401`).
@@ -213,6 +218,7 @@ impl DiagCode {
             DiagCode::BarrierEpochTamper => "AUD304",
             DiagCode::BarrierOverDeclaredEffect => "AUD305",
             DiagCode::BarrierUncataloged => "AUD306",
+            DiagCode::BarrierUnloggedShapeChange => "AUD307",
             DiagCode::DurabilityUnsyncedAck => "AUD401",
             DiagCode::DurabilityRenameBeforeSync => "AUD402",
             DiagCode::DurabilityMissingDirFsync => "AUD403",

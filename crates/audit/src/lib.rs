@@ -35,9 +35,10 @@
 //!    journal itself sound: every mutator in the heap's
 //!    [`MutationCatalog`](ickp_heap::MutationCatalog) is abstract-interpreted
 //!    (declaration consistency) and probed (observed footprint) against the
-//!    journal/epoch/version protocol. Unjournaled byte changes (`AUD301`),
-//!    missed `structure_version` bumps (`AUD302`), and epoch tampering
-//!    (`AUD304`) are errors, as is a public mutator missing from the
+//!    journal/epoch/version/log protocol. Unjournaled byte changes
+//!    (`AUD301`), missed `structure_version` bumps (`AUD302`), epoch
+//!    tampering (`AUD304`) and shape changes missing from the structural
+//!    log (`AUD307`) are errors, as is a public mutator missing from the
 //!    catalog (`AUD306`); over-journaling (`AUD303`) and over-declared
 //!    effects (`AUD305`) are quantified lints.
 //!    [`cross_validate_barriers`] backs the verdicts dynamically with
@@ -114,8 +115,8 @@ pub use durability::{
 };
 pub use oracle::{cross_validate, OracleReport};
 pub use shards::{
-    audit_shards, audit_shards_with, cross_validate_shards, shard_footprints, ShardAudit,
-    ShardAuditConfig, ShardFootprint, ShardOracleReport, ShardSpec,
+    audit_shards, audit_shards_with, cross_validate_shards, cross_validate_shards_with,
+    shard_footprints, ShardAudit, ShardAuditConfig, ShardFootprint, ShardOracleReport, ShardSpec,
 };
 pub use soundness::{
     audit_phase_patterns, engine_footprints, recordable_bytes, PhaseFootprint, RECORD_HEADER_BYTES,

@@ -31,9 +31,7 @@
 
 use crate::diag::{AuditReport, DiagCode, Diagnostic, Location, Severity};
 use crate::soundness::RECORD_HEADER_BYTES;
-use ickp_core::{
-    plan_shards, CheckpointConfig, Checkpointer, CoreError, MethodTable, ShardBalance,
-};
+use ickp_core::{plan_shards, CheckpointConfig, Checkpointer, CoreError, MethodTable};
 use ickp_heap::{first_touch_plan, reachable_from, Heap, HeapError, ObjectId, ShardPlan, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -430,16 +428,31 @@ pub fn cross_validate_shards(
     roots: &[ObjectId],
     workers: usize,
 ) -> Result<ShardOracleReport, CoreError> {
-    // Plan exactly as the engine will (same balance default, same
-    // byte-weighting), so the static footprints describe the very shards
-    // the traced run executes.
-    let plan = plan_shards(heap, roots, workers, ShardBalance::default())?;
+    let mut engine = Checkpointer::new(CheckpointConfig::full());
+    cross_validate_shards_with(heap, roots, workers, &mut engine)
+}
+
+/// [`cross_validate_shards`] with a caller-owned full-kind `engine`, so a
+/// long-lived engine is validated on the plan it *carries*: cached, or
+/// repaired from the heap's structural log since its last checkpoint. The
+/// static footprints always come from a fresh [`plan_shards`] under the
+/// engine's balance — the plan a repair must reproduce.
+///
+/// # Errors
+///
+/// Propagates [`CoreError`] from planning or the traced checkpoint.
+pub fn cross_validate_shards_with(
+    heap: &Heap,
+    roots: &[ObjectId],
+    workers: usize,
+    engine: &mut Checkpointer,
+) -> Result<ShardOracleReport, CoreError> {
+    let plan = plan_shards(heap, roots, workers, engine.config().balance)?;
     let footprints = shard_footprints(heap, &plan)?;
 
     let mut scratch = heap.clone();
     let table = MethodTable::derive(heap.registry());
-    let mut ckp = Checkpointer::new(CheckpointConfig::full());
-    let (_, trace) = ckp.checkpoint_parallel_traced(&mut scratch, &table, roots, workers)?;
+    let (_, trace) = engine.checkpoint_parallel_traced(&mut scratch, &table, roots, workers)?;
 
     let mut report = ShardOracleReport {
         static_shards: footprints.len(),

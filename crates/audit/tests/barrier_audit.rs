@@ -74,7 +74,7 @@ fn errors_of(report: &ickp_audit::AuditReport) -> Vec<DiagCode> {
 }
 
 /// **Acceptance criterion**: zero false positives on the real heap — the
-/// shipped catalog audits with no `AUD301`/`AUD302`/`AUD304`/`AUD306`
+/// shipped catalog audits with no `AUD301`/`AUD302`/`AUD304`/`AUD306`/`AUD307`
 /// on a chain world and at synthetic paper scale.
 #[test]
 fn the_real_catalog_is_clean_on_chain_and_paper_worlds() {
@@ -139,6 +139,7 @@ fn a_declared_silent_rewire_trips_aud302() {
             structure_may_change: true,
             journals_dirty: true,
             bumps_structure_version: false, // the breach
+            logs_structure: true,
             ..DeclaredEffect::default()
         },
         apply: |heap, probe| heap.set_field(non_seed_target(probe), 2, Value::Ref(None)),
@@ -148,6 +149,38 @@ fn a_declared_silent_rewire_trips_aud302() {
     specs.push(&rewire);
     let audit = audit_barriers_with(&heap, &roots, &specs).unwrap();
     assert_eq!(errors_of(&audit.report), vec![DiagCode::BarrierMissedVersionBump]);
+}
+
+/// **Injection: unlogged shape change.** The sound heap API logs every
+/// reference store, so — as for `AUD302` — the declaration side is what
+/// catches a mutator that would rewire the graph behind the structural
+/// log. A spec declaring `structure_may_change` without `logs_structure`
+/// is pinned to `AUD307`, and its honest probe proves the real store
+/// path logged the rewire.
+#[test]
+fn a_declared_unlogged_rewire_trips_aud307() {
+    let (heap, roots) = world(6);
+    let rewire = Injected {
+        name: "unlogged_rewire",
+        effect: DeclaredEffect {
+            dirties: DirtyScope::Target,
+            bytes_may_change: true,
+            structure_may_change: true,
+            journals_dirty: true,
+            bumps_structure_version: true,
+            logs_structure: false, // the breach
+            ..DeclaredEffect::default()
+        },
+        apply: |heap, probe| heap.set_field(non_seed_target(probe), 2, Value::Ref(None)),
+    };
+    let catalog = MutationCatalog::of_heap();
+    let mut specs = catalog_specs(&catalog);
+    specs.push(&rewire);
+    let audit = audit_barriers_with(&heap, &roots, &specs).unwrap();
+    assert_eq!(errors_of(&audit.report), vec![DiagCode::BarrierUnloggedShapeChange]);
+    let probe = audit.probes.iter().find(|p| p.name == "unlogged_rewire").unwrap();
+    assert!(probe.structure_changed && probe.version_bumped);
+    assert_eq!(probe.unlogged_shape_changes, 0, "set_field logs its writer");
 }
 
 /// **Injection: premature epoch clear.** A mutator that resets dirty
@@ -224,6 +257,7 @@ fn a_braggart_spec_collects_all_three_aud305_lints() {
             structure_may_change: true,
             journals_dirty: true,
             bumps_structure_version: true,
+            logs_structure: true,
             ..DeclaredEffect::default()
         },
         apply: |_, _| Ok(()),

@@ -290,7 +290,7 @@ mod tests {
         // Without the journal the second round still runs the shard
         // workers (no fast path), with the plan served from cache.
         assert!(!phases.fast_path);
-        assert!(phases.plan_cached);
+        assert_eq!(phases.plan_source, ickp_core::PlanSource::Cached);
         assert_eq!(backend.shard_stats().len(), 3);
 
         // The count-balanced strategy emits the same bytes.

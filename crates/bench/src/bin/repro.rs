@@ -778,6 +778,20 @@ fn barriers(opts: &Options) -> i32 {
             structure_may_change: true,
             journals_dirty: true,
             bumps_structure_version: false,
+            logs_structure: true,
+            ..DeclaredEffect::default()
+        },
+        apply: |_, _| Ok(()),
+    };
+    let unlogged_rewire = Injected {
+        name: "unlogged_rewire",
+        effect: DeclaredEffect {
+            dirties: DirtyScope::Target,
+            bytes_may_change: true,
+            structure_may_change: true,
+            journals_dirty: true,
+            bumps_structure_version: true,
+            logs_structure: false,
             ..DeclaredEffect::default()
         },
         apply: |_, _| Ok(()),
@@ -795,9 +809,10 @@ fn barriers(opts: &Options) -> i32 {
     };
     let (inj_name, inj_heap, inj_roots) = &subjects[1]; // the engine heap
     let _ = inj_name;
-    let injections: [(&Injected, DiagCode); 3] = [
+    let injections: [(&Injected, DiagCode); 4] = [
         (&rogue_store, DiagCode::BarrierUnjournaledWrite),
         (&silent_rewire, DiagCode::BarrierMissedVersionBump),
+        (&unlogged_rewire, DiagCode::BarrierUnloggedShapeChange),
         (&eager_reset, DiagCode::BarrierEpochTamper),
     ];
     for (broken, expected) in injections {
@@ -982,10 +997,18 @@ fn barriers(opts: &Options) -> i32 {
 fn scaling(opts: &Options) -> i32 {
     use ickp_backend::ParallelBackend;
     use ickp_bench::timing::median;
-    use ickp_core::{CheckpointConfig, Checkpointer, MethodTable};
+    use ickp_core::{
+        plan_shards, refresh_plan, CheckpointConfig, Checkpointer, MethodTable, PlanSource,
+        ShardBalance,
+    };
     use ickp_heap::partition_roots;
+    use ickp_prng::Prng;
     use ickp_synth::{SynthConfig, SynthWorld};
     use std::time::Instant;
+
+    /// One structure in this many gets a list rewired per round, as in
+    /// the `dense_reshape` benchmark workload.
+    const RESHAPE_EVERY: u64 = 50;
 
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("# ickp scaling — parallel engine, measured end to end\n");
@@ -1009,7 +1032,9 @@ fn scaling(opts: &Options) -> i32 {
     // Byte-identity: mirrored worlds (same config, same construction,
     // same modification script) checkpointed by the parallel backend and
     // a journal-free sequential reference, every round, at every worker
-    // count.
+    // count. Each round also swaps two list neighbours in one structure
+    // of 50, as `dense_reshape` does, so the engine's shard plan is
+    // repaired (or rebuilt) under churn rather than served from cache.
     let spec = mods(100, 5, false);
     for workers in [1usize, 2, 4, 8] {
         let mut world = SynthWorld::build(config).expect("world builds");
@@ -1020,12 +1045,27 @@ fn scaling(opts: &Options) -> i32 {
             ParallelBackend::with_config(workers, world.heap().registry(), no_journal);
         let mut reference = Checkpointer::new(no_journal);
         let mut identical = true;
-        for _ in 0..opts.rounds.max(2) {
+        let mut sources = [0usize; 2]; // repaired, rebuilt
+        for round in 0..opts.rounds.max(2) {
             world.apply_modifications(&spec);
             ref_world.apply_modifications(&spec);
+            let mut rng = Prng::seed_from_u64(0x5ca1e ^ round as u64);
+            for structure in 0..roots.len() {
+                if rng.below(RESHAPE_EVERY) == 0 {
+                    let list = rng.index(config.lists_per_structure);
+                    for w in [&mut world, &mut ref_world] {
+                        w.swap_neighbours(structure, list).expect("swap");
+                    }
+                }
+            }
             let a = backend.checkpoint(world.heap_mut(), &roots).expect("checkpoint");
             let b = reference.checkpoint(ref_world.heap_mut(), &table, &roots).expect("checkpoint");
             identical &= a.bytes() == b.bytes();
+            match backend.phases().map(|p| p.plan_source) {
+                Some(PlanSource::Repaired) => sources[0] += 1,
+                Some(PlanSource::Rebuilt) => sources[1] += 1,
+                _ => {}
+            }
             #[cfg(feature = "sanitize")]
             if let Some(report) = backend.sanitizer_report() {
                 if !report.is_clean() {
@@ -1034,48 +1074,84 @@ fn scaling(opts: &Options) -> i32 {
                 }
             }
         }
-        if identical {
-            println!("{workers} workers: byte-identical to the sequential stream");
-        } else {
+        let plans = format!("plans: {} repaired, {} rebuilt", sources[0], sources[1]);
+        if !identical {
             failures += 1;
-            println!("{workers} workers: stream DIVERGED from the sequential reference");
+            println!("{workers} workers: stream DIVERGED from the sequential reference ({plans})");
+        } else if workers > 1 && sources[0] == 0 {
+            failures += 1;
+            println!("{workers} workers: byte-identical, but no plan was repaired ({plans})");
+        } else {
+            println!("{workers} workers: byte-identical to the sequential stream ({plans})");
         }
     }
 
-    // The ownership pre-pass on its own: the sequential oracle against
-    // the parallel min-CAS plan the engine actually builds (uncached) —
-    // the stage that used to be a fixed sequential cost.
-    let world = SynthWorld::build(config).expect("world builds");
+    // Planning on its own: the sequential oracle, the engine's one-pass
+    // rebuild, and the repair after one round of list swaps.
+    let mut world = SynthWorld::build(config).expect("world builds");
     let roots = world.roots().to_vec();
-    let heap = world.heap();
-    let time_plan = |f: &dyn Fn()| {
-        median(
-            (0..opts.rounds.max(5))
-                .map(|_| {
-                    let start = Instant::now();
-                    f();
-                    start.elapsed()
-                })
-                .collect(),
-        )
+    let time_plan =
+        |f: &mut dyn FnMut() -> Duration| median((0..opts.rounds.max(5)).map(|_| f()).collect());
+    let timed = |f: &dyn Fn()| {
+        let start = Instant::now();
+        f();
+        start.elapsed()
     };
-    let seq_pre = time_plan(&|| {
-        std::hint::black_box(partition_roots(heap, &roots, 8).expect("plan"));
+    let heap = world.heap();
+    let seq_pre = time_plan(&mut || {
+        timed(&|| {
+            std::hint::black_box(partition_roots(heap, &roots, 8).expect("plan"));
+        })
     });
     println!("\npre-pass (8 shards): sequential oracle {}", fmt_duration(seq_pre));
-    for workers in [1usize, 2, 4, 8] {
-        let par_pre = time_plan(&|| {
-            std::hint::black_box(
-                ickp_core::plan_shards(heap, &roots, workers, ickp_core::ShardBalance::default())
-                    .expect("plan"),
+    let balance = ShardBalance::default();
+    let planned: Vec<_> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|workers| {
+            let rebuild = time_plan(&mut || {
+                timed(&|| {
+                    std::hint::black_box(
+                        plan_shards(heap, &roots, workers, balance).expect("plan"),
+                    );
+                })
+            });
+            println!(
+                "plan rebuilt ({workers} chunk(s), weighted, one parallel pass): {}",
+                fmt_duration(rebuild)
             );
+            (workers, plan_shards(heap, &roots, workers, balance).expect("plan"))
+        })
+        .collect();
+    let planned_at = world.heap().structure_version();
+    let mut rng = Prng::seed_from_u64(0x5ca1e);
+    for structure in 0..roots.len() {
+        if rng.below(RESHAPE_EVERY) == 0 {
+            let list = rng.index(config.lists_per_structure);
+            world.swap_neighbours(structure, list).expect("swap");
+        }
+    }
+    let heap = world.heap();
+    for (workers, plan) in planned {
+        let repair = time_plan(&mut || {
+            let plan = plan.clone();
+            let start = Instant::now();
+            let (plan, source) =
+                refresh_plan(plan, planned_at, heap, &roots, workers, balance).expect("plan");
+            let took = start.elapsed();
+            assert_eq!(source, PlanSource::Repaired, "list swaps keep every owner");
+            std::hint::black_box(plan);
+            took
         });
-        println!("pre-pass ({workers} chunk(s), weighted, parallel): {}", fmt_duration(par_pre));
+        println!(
+            "plan repaired ({workers} chunk(s), 1 structure in {RESHAPE_EVERY} rewired): {}",
+            fmt_duration(repair)
+        );
     }
 
     // Steady-state phase breakdown and end-to-end speedup over the
-    // 1-worker engine (plan served from cache in steady state, so the
-    // plan column is zero; the uncached cost is the pre-pass line above).
+    // 1-worker engine (no structure changes here, so the plan is served
+    // from cache and the plan column is only the cache check; the 1-worker
+    // engine plans nothing at all).
     let mut runner = SynthRunner::new(opts.structures, 5, 10);
     let rounds = (2 * opts.rounds + 3).max(9);
     // Discarded warm-up measurement: the first parallel run pays one-off
@@ -1106,6 +1182,54 @@ fn scaling(opts: &Options) -> i32 {
     if cpus == 1 {
         println!("\nnote: single-CPU host — traverse cannot shrink with workers here;");
         println!("multi-core numbers come from the CI parallel-scaling job.");
+    }
+
+    // Crossover under `dense_reshape`-style churn (25 % of elements dirty
+    // and one structure in 50 rewired per round, journal on): does the
+    // parallel engine beat the sequential driver once plans are repaired?
+    println!("\nchurn crossover (25% dirty, 1 structure in {RESHAPE_EVERY} rewired, journal on):");
+    #[cfg(feature = "sanitize")]
+    println!("  (sanitize on: the engine rows include tracing every shard's accesses)");
+    let churn = ModificationSpec::uniform(25);
+    let mut streams: Vec<Vec<Vec<u8>>> = Vec::new();
+    for workers in [None, Some(1usize), Some(2)] {
+        let mut world = SynthWorld::build(config).expect("world builds");
+        let roots = world.roots().to_vec();
+        let table = MethodTable::derive(world.heap().registry());
+        let mut sequential = Checkpointer::new(CheckpointConfig::incremental());
+        let mut backend = workers.map(|w| ParallelBackend::new(w, world.heap().registry()));
+        world.heap_mut().mark_all_modified();
+        let mut checkpoint = |world: &mut SynthWorld| match backend.as_mut() {
+            Some(backend) => backend.checkpoint(world.heap_mut(), &roots).expect("checkpoint"),
+            None => sequential.checkpoint(world.heap_mut(), &table, &roots).expect("checkpoint"),
+        };
+        checkpoint(&mut world);
+        let mut times = Vec::new();
+        let mut bytes = Vec::new();
+        for round in 0..opts.rounds.max(5) {
+            world.apply_modifications(&churn);
+            let mut rng = Prng::seed_from_u64(0xc4_0550 ^ round as u64);
+            for structure in 0..roots.len() {
+                if rng.below(RESHAPE_EVERY) == 0 {
+                    let list = rng.index(config.lists_per_structure);
+                    world.swap_neighbours(structure, list).expect("swap");
+                }
+            }
+            let start = Instant::now();
+            let record = checkpoint(&mut world);
+            times.push(start.elapsed());
+            bytes.push(record.bytes().to_vec());
+        }
+        let name = match workers {
+            None => "sequential driver".to_string(),
+            Some(w) => format!("parallel, {w} worker(s)"),
+        };
+        println!("  {name:<22} {}", fmt_duration(median(times)));
+        streams.push(bytes);
+    }
+    if streams.windows(2).any(|w| w[0] != w[1]) {
+        failures += 1;
+        println!("  churn streams DIVERGED between the sequential driver and the engine");
     }
 
     if failures == 0 {

@@ -312,7 +312,7 @@ mod tests {
         assert!(!phases.fast_path, "journal off, yet the round took the fast path");
         assert!(phases.traverse > Duration::ZERO, "shard workers never ran");
         // Steady-state shape: the plan is served from cache.
-        assert!(phases.plan_cached);
+        assert_eq!(phases.plan_source, ickp_core::PlanSource::Cached);
         // Sequential variants have no phase breakdown to report.
         let incr = runner.measure(Variant::Incremental, &m, 1);
         assert!(incr.phases.is_none());

@@ -23,6 +23,7 @@ use crate::pool::BufferPool;
 use crate::stats::TraversalStats;
 use crate::stream::CheckpointKind;
 use ickp_heap::{Heap, ObjectId, StableId};
+use std::time::{Duration, Instant};
 
 /// How the parallel engine places shard boundaries over the root set.
 ///
@@ -359,21 +360,41 @@ impl Checkpointer {
         dispatch: &mut D,
         roots: &[ObjectId],
     ) -> Result<CheckpointRecord, CoreError> {
-        let seq = self.next_seq;
-        let kind = self.config.kind;
         let root_ids: Vec<StableId> =
             roots.iter().map(|&r| heap.stable_id(r)).collect::<Result<_, _>>()?;
         if self.journal_ready(heap, roots) {
             return self.journal_fast_path(heap, dispatch, root_ids);
         }
-        let (mut writer, reused) = self.pool.writer(seq, kind, &root_ids);
-        let emit = Emit::Records(kind, &mut writer);
         let collect_order = self.journal_wanted();
-        let mut stats = self.walks[0].walk(heap, dispatch, roots, emit, |_| true, collect_order)?;
+        self.one_walk(heap, dispatch, roots, root_ids, collect_order).map(|(record, ..)| record)
+    }
+
+    /// One kernel walk on the caller's thread that accepts every object it
+    /// reaches, then the shared epilogue: the sequential checkpoint, and
+    /// the one-shard case of the parallel one. Besides the record, returns
+    /// the walk's own counters (`bytes_written` = the record body, as for
+    /// a shard) and how long the walk took.
+    pub(crate) fn one_walk<D: Dispatch>(
+        &mut self,
+        heap: &mut Heap,
+        dispatch: &mut D,
+        roots: &[ObjectId],
+        root_ids: Vec<StableId>,
+        collect_order: bool,
+    ) -> Result<(CheckpointRecord, TraversalStats, Duration), CoreError> {
+        let (seq, kind) = (self.next_seq, self.config.kind);
+        let (mut writer, reused) = self.pool.writer(seq, kind, &root_ids);
+        let header = writer.len();
+        let started = Instant::now();
+        let emit = Emit::Records(kind, &mut writer);
+        let mut walked =
+            self.walks[0].walk(heap, dispatch, roots, emit, |_| true, collect_order)?;
+        let took = started.elapsed();
+        walked.bytes_written = (writer.len() - header) as u64;
         self.settle(heap, roots, 1)?;
-        stats.bytes_reused = reused;
-        stats.bytes_written = writer.len() as u64;
-        Ok(self.seal(seq, root_ids, writer.finish(), stats))
+        let stats =
+            TraversalStats { bytes_reused: reused, bytes_written: writer.len() as u64, ..walked };
+        Ok((self.seal(seq, root_ids, writer.finish(), stats), walked, took))
     }
 
     /// `true` if the next checkpoint of `roots` will be served from the

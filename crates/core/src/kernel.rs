@@ -86,6 +86,9 @@ pub struct WalkScratch {
     epoch: u8,
     recorded: Vec<ObjectId>,
     order: Vec<ObjectId>,
+    /// The shard body buffer a parallel checkpoint writes through this
+    /// scratch, kept between checkpoints so its capacity is reused.
+    pub(crate) body: Vec<u8>,
 }
 
 impl WalkScratch {
@@ -126,9 +129,10 @@ impl WalkScratch {
             if !owns(id) {
                 continue;
             }
-            // Resolving the class first also rejects a stale handle before
+            // Resolving the object first also rejects a stale handle before
             // its slot index is trusted.
-            let class = heap.class_of(id)?;
+            let obj = heap.object(id)?;
+            let class = obj.class();
             let slot = id.index();
             if slot >= self.marks.len() {
                 self.marks.resize(slot + 1, 0);
@@ -145,12 +149,12 @@ impl WalkScratch {
                 Emit::Records(CheckpointKind::Full, writer) => Some(writer),
                 Emit::Records(CheckpointKind::Incremental, writer) => {
                     stats.flag_tests += 1;
-                    heap.is_modified(id)?.then_some(writer)
+                    obj.info().modified().then_some(writer)
                 }
                 Emit::FlagTestsOnly => {
                     stats.flag_tests += 1;
                     // The flag read itself is the measured work.
-                    heap.is_modified(id)?;
+                    std::hint::black_box(obj.info().modified());
                     None
                 }
             };

@@ -75,7 +75,9 @@ pub use fold::{compact, merge_records};
 pub use journal::journal_dirty_set;
 pub use kernel::{Direct, Dispatch, Emit, WalkScratch};
 pub use methods::{FoldFn, MethodTable, RecordFn};
-pub use parallel::{plan_shards, ParallelPhases, ShardAccess, ShardTrace};
+pub use parallel::{
+    plan_shards, refresh_plan, ParallelPhases, PlanSource, ShardAccess, ShardTrace,
+};
 pub use pool::BufferPool;
 pub use restore::{restore, verify_restore, RestorePolicy, RestoredHeap};
 pub use sink::{AckHook, RecordSink};

@@ -1,16 +1,23 @@
 //! The parallel sharded checkpoint engine.
 //!
 //! [`Checkpointer::checkpoint_parallel`] splits the root set into disjoint
-//! ownership shards (via [`ickp_heap::partition_roots_parallel`] or its
-//! byte-weighted sibling, both of which run the first-touch pre-pass in
-//! parallel), runs one kernel walk per shard on its own OS thread,
-//! filtered to the objects the shard owns, and splices the per-shard
-//! record streams back into one stream. The walk is the one
-//! [`Checkpointer::checkpoint`] runs on the caller's thread as the
-//! one-shard case, with a filter that owns everything, so the result is **byte-for-byte identical** — same header, same record
-//! order, same footer, same [`TraversalStats`] — and every downstream
-//! consumer (store, compaction, restore, verification) is oblivious to
-//! how the checkpoint was produced.
+//! ownership shards ([`plan_shards`]: one parallel first-touch pass at
+//! root granularity, then boundary placement), runs one kernel walk per
+//! shard, filtered to the objects the shard owns — shard 0 on the
+//! caller's thread straight into the record, every later shard on its own
+//! OS thread into a body — and splices the bodies after shard 0's records
+//! in shard order. The walk is
+//! the one [`Checkpointer::checkpoint`] runs on the caller's thread as the
+//! one-shard case, with a filter that owns everything, so the result is
+//! **byte-for-byte identical** — same header, same record order, same
+//! footer, same [`TraversalStats`] — and every downstream consumer (store,
+//! compaction, restore, verification) is oblivious to how the checkpoint
+//! was produced.
+//!
+//! The plan is cached between checkpoints. A reference store does not
+//! throw it away: [`refresh_plan`] re-walks only the roots that own the
+//! writers the heap's structural log names, and falls back to a fresh pass
+//! when the log cannot vouch for the change.
 //!
 //! Three properties make this sound:
 //!
@@ -35,52 +42,58 @@ use crate::methods::MethodTable;
 use crate::stats::TraversalStats;
 use crate::stream::{StreamWriter, RECORD_HEADER_BYTES};
 use ickp_heap::{
-    partition_roots_parallel, partition_roots_weighted, root_weights, Heap, ObjectId, ShardPlan,
+    chunk_bounds, chunk_bounds_weighted, partition_roots_parallel, Heap, ObjectId, ShardPlan,
     StableId,
 };
 use std::time::{Duration, Instant};
 
-/// A [`ShardPlan`] cached across parallel checkpoints, valid while the
-/// heap structure, root set, and worker count are unchanged (the same
-/// validity rule as the journal cache).
+/// A [`ShardPlan`] cached across parallel checkpoints, with the heap
+/// structure version it describes.
 #[derive(Debug)]
 pub(crate) struct PlanCache {
     structure_version: u64,
-    roots: Vec<ObjectId>,
-    workers: usize,
     plan: ShardPlan,
 }
 
-impl PlanCache {
-    fn matches(&self, heap: &Heap, roots: &[ObjectId], workers: usize) -> bool {
-        self.structure_version == heap.structure_version()
-            && self.workers == workers
-            && self.roots == roots
-    }
+/// Where the shard plan of a parallel checkpoint came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PlanSource {
+    /// No plan was needed: the journal fast path served the checkpoint,
+    /// or it ran as one shard.
+    #[default]
+    Unplanned,
+    /// The cached plan, over an unchanged heap structure (re-chunked if
+    /// the worker count changed).
+    Cached,
+    /// The cached plan, repaired from the heap's structural log by
+    /// re-walking the roots whose objects were written.
+    Repaired,
+    /// A fresh first-touch pass over the whole heap.
+    Rebuilt,
 }
 
 /// Wall-clock decomposition of one parallel checkpoint, recorded by
 /// [`Checkpointer::checkpoint_parallel`] and read back through
 /// [`Checkpointer::parallel_phases`].
 ///
-/// This replaces the old *projected* Amdahl decomposition: instead of
-/// timing `partition_roots` in isolation and extrapolating, the engine
-/// stamps its own phases, so benchmarks and the `repro scaling` gate
-/// report what actually happened — including the effect of the plan cache
-/// and of the parallel pre-pass.
+/// The engine stamps its own phases, so benchmarks and the `repro
+/// scaling` gate report what actually happened — including the effect of
+/// the plan cache, of plan repair and of the parallel pre-pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelPhases {
-    /// Building the [`ShardPlan`]: byte weighing (when balancing by
-    /// bytes) plus the parallel first-touch ownership pass. Zero when the
-    /// cached plan was reused.
+    /// Obtaining the [`ShardPlan`]: checking the cache, repairing it, or
+    /// the first-touch pass plus boundary placement — whichever
+    /// [`ParallelPhases::plan_source`] says ran. Zero when no plan was
+    /// needed.
     pub plan: Duration,
-    /// Shard workers, spawn to last join — the parallel section.
+    /// Shard workers, spawn to last join — the parallel section (the one
+    /// walk, for a one-shard checkpoint).
     pub traverse: Duration,
     /// Sequential epilogue: splicing shard bodies, stats/journal-cache
     /// bookkeeping, modified-flag resets.
     pub merge: Duration,
-    /// `true` when the shard plan came from the cache (no pre-pass ran).
-    pub plan_cached: bool,
+    /// Which path produced the shard plan.
+    pub plan_source: PlanSource,
     /// `true` when the journal fast path served the checkpoint: no shard
     /// workers ran and the phase durations above are all zero.
     pub fast_path: bool,
@@ -110,10 +123,11 @@ impl ParallelPhases {
 /// cross-validator, and the scaling harness, so a plan computed outside
 /// the engine is guaranteed to equal the one the engine runs.
 ///
-/// Both strategies run the first-touch pre-pass in parallel;
-/// [`ShardBalance::Bytes`] first weighs each root by its estimated stream
-/// contribution ([`root_weights`] with the record-header overhead) and
-/// places boundaries by prefix sum.
+/// One parallel first-touch pass assigns every object to the lowest root
+/// reaching it and weighs what each root owns; the shard boundaries are
+/// then placed by root count or, for [`ShardBalance::Bytes`], by prefix
+/// sum over the per-root estimated stream bytes (record headers
+/// included).
 ///
 /// # Errors
 ///
@@ -124,14 +138,70 @@ pub fn plan_shards(
     workers: usize,
     balance: ShardBalance,
 ) -> Result<ShardPlan, CoreError> {
-    let plan = match balance {
-        ShardBalance::RootCount => partition_roots_parallel(heap, roots, workers)?,
+    let threads = workers.min(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    Ok(chunked(partition_roots_parallel(heap, roots, threads)?, workers, balance))
+}
+
+/// Brings a plan that [`plan_shards`] (or this function) produced while
+/// [`Heap::structure_version`] read `planned_at` up to date for `(roots,
+/// workers, balance)`, and says how. This is the engine's planning step
+/// on every traversed parallel checkpoint after the first.
+///
+/// * Same roots and an unchanged structure: the plan is reused
+///   ([`PlanSource::Cached`]), re-chunked for `workers` and `balance`.
+/// * Same roots, and the heap's structural log still reaches back to
+///   `planned_at`: the plan is repaired ([`ShardPlan::repaired`]) by
+///   re-walking the roots that own a logged writer, within a budget of a
+///   quarter of the arena ([`PlanSource::Repaired`]).
+/// * Otherwise — other roots, an unknown log, a detach, a freed owned
+///   object or an exhausted budget — one fresh pass
+///   ([`PlanSource::Rebuilt`]).
+///
+/// Whatever the path, the returned plan equals
+/// `plan_shards(heap, roots, workers, balance)`.
+///
+/// # Errors
+///
+/// Propagates heap errors (e.g. dangling references) from the traversals.
+pub fn refresh_plan(
+    plan: ShardPlan,
+    planned_at: u64,
+    heap: &Heap,
+    roots: &[ObjectId],
+    workers: usize,
+    balance: ShardBalance,
+) -> Result<(ShardPlan, PlanSource), CoreError> {
+    if plan.all_roots() == roots {
+        if planned_at == heap.structure_version() {
+            return Ok((chunked(plan, workers, balance), PlanSource::Cached));
+        }
+        if let Some(changes) = heap.structure_changes_since(planned_at) {
+            let budget = heap.arena_size() / REPAIR_BUDGET_DIVISOR + REPAIR_BUDGET_FLOOR;
+            if let Some(plan) = plan.repaired(heap, changes, budget)? {
+                return Ok((chunked(plan, workers, balance), PlanSource::Repaired));
+            }
+        }
+    }
+    Ok((plan_shards(heap, roots, workers, balance)?, PlanSource::Rebuilt))
+}
+
+/// A repair may re-walk at most this fraction (1/n) of the arena: past
+/// it, one parallel pass over everything is the cheaper way to a plan.
+const REPAIR_BUDGET_DIVISOR: usize = 4;
+
+/// Re-walk visits always allowed, so that small heaps repair too.
+const REPAIR_BUDGET_FLOOR: usize = 1024;
+
+/// Places the shard boundaries of `plan` for `workers` under `balance`;
+/// ownership is untouched.
+fn chunked(plan: ShardPlan, workers: usize, balance: ShardBalance) -> ShardPlan {
+    let bounds = match balance {
+        ShardBalance::RootCount => chunk_bounds(plan.all_roots().len(), workers),
         ShardBalance::Bytes => {
-            let weights = root_weights(heap, roots, RECORD_HEADER_BYTES as u64)?;
-            partition_roots_weighted(heap, roots, &weights, workers)?
+            chunk_bounds_weighted(&plan.root_weights(RECORD_HEADER_BYTES as u64), workers)
         }
     };
-    Ok(plan)
+    plan.with_bounds(bounds)
 }
 
 /// What one shard actually touched during a traced parallel checkpoint.
@@ -170,16 +240,17 @@ impl Checkpointer {
     /// traversal counters — is byte-for-byte what the sequential driver
     /// would have produced on the same heap state, and the same modified
     /// flags are reset. `workers` is clamped to the number of roots (one
-    /// shard needs at least one root) and values of 0 or 1 degrade to a
-    /// single worker thread.
+    /// shard needs at least one root); with one shard left — `workers` of
+    /// 0 or 1, or a single root — the checkpoint is the sequential walk on
+    /// the caller's thread and builds no plan.
     ///
-    /// The ownership pre-pass over the reachability graph runs in
-    /// parallel itself (`ickp_heap::partition_roots_parallel`; see
-    /// [`ParallelPhases`] for the measured phase split), and shard
-    /// boundaries are placed by estimated stream bytes per root unless the
-    /// config selects [`ShardBalance::RootCount`]. The plan is cached
-    /// across checkpoints while the heap structure, root set and worker
-    /// count are unchanged.
+    /// The first shard plan comes from one parallel first-touch pass
+    /// ([`plan_shards`]; see [`ParallelPhases`] for the measured phase
+    /// split), and shard boundaries are placed by estimated stream bytes
+    /// per root unless the config selects [`ShardBalance::RootCount`]. The
+    /// plan is cached; later checkpoints over the same roots reuse it while
+    /// the heap structure is unchanged and otherwise repair it from the
+    /// heap's structural log ([`refresh_plan`]).
     ///
     /// # Errors
     ///
@@ -267,13 +338,34 @@ impl Checkpointer {
             let fast = trace.then(|| ShardTrace { fast_path: true, shards: Vec::new() });
             return Ok((record, fast));
         }
+        let collect_order = self.journal_wanted() || trace;
+        if workers.min(roots.len()) <= 1 {
+            // One shard owns everything it reaches: the sequential walk,
+            // with no plan to build. (Without roots, no shard ran at all.)
+            let started = Instant::now();
+            let (record, walked, traverse) =
+                self.one_walk(heap, &mut Direct(methods), roots, root_ids, collect_order)?;
+            let merge = started.elapsed().saturating_sub(traverse);
+            self.last_shard_stats.clear();
+            if !roots.is_empty() {
+                self.last_shard_stats.push(walked);
+            }
+            self.last_phases =
+                Some(ParallelPhases { traverse, merge, ..ParallelPhases::default() });
+            let trace =
+                trace.then(|| ShardTrace { fast_path: false, shards: self.shard_accesses() });
+            return Ok((record, trace));
+        }
+
         let plan_timer = Instant::now();
-        let (plan, plan_cached) = match self.plan_cache.take() {
-            Some(cached) if cached.matches(heap, roots, workers) => (cached.plan, true),
-            _ => (plan_shards(heap, roots, workers, self.config.balance)?, false),
+        let balance = self.config.balance;
+        let (plan, plan_source) = match self.plan_cache.take() {
+            Some(cache) => {
+                refresh_plan(cache.plan, cache.structure_version, heap, roots, workers, balance)?
+            }
+            None => (plan_shards(heap, roots, workers, balance)?, PlanSource::Rebuilt),
         };
         let plan_time = plan_timer.elapsed();
-        let collect_order = self.journal_wanted() || trace;
         let shards = plan.num_shards();
         if self.walks.len() < shards {
             self.walks.resize_with(shards, WalkScratch::default);
@@ -281,76 +373,98 @@ impl Checkpointer {
 
         let traverse_timer = Instant::now();
         // One kernel walk per shard, restricted to the objects the shard
-        // owns, each writing a headerless shard stream.
-        let outputs: Vec<_> = std::thread::scope(|scope| {
-            let heap = &*heap;
-            let plan = &plan;
-            let handles: Vec<_> = self.walks[..shards]
-                .iter_mut()
-                .enumerate()
-                .map(|(shard, walk)| {
-                    scope.spawn(move || -> Result<_, CoreError> {
-                        let mut writer = StreamWriter::new_shard();
-                        let stats = walk.walk(
-                            heap,
-                            &mut Direct(methods),
-                            plan.roots(shard),
-                            Emit::Records(kind, &mut writer),
-                            |id| plan.owns(shard, id),
-                            collect_order,
-                        )?;
-                        let (body, records) = writer.finish_shard();
-                        Ok((body, records, stats))
+        // owns. Shard 0's records come first in the stream, so it writes
+        // straight into the record on this thread; every later shard
+        // writes a headerless body, into its scratch's recycled buffer,
+        // on its own thread.
+        let (mut writer, reused) = self.pool.writer(seq, kind, &root_ids);
+        let header = writer.len();
+        let (first, rest) = self.walks[..shards].split_first_mut().expect("two or more shards");
+        let (first, outputs): (Result<TraversalStats, CoreError>, Vec<_>) =
+            std::thread::scope(|scope| {
+                let heap = &*heap;
+                let plan = &plan;
+                let handles: Vec<_> = rest
+                    .iter_mut()
+                    .zip(1..)
+                    .map(|(walk, shard)| {
+                        scope.spawn(move || -> Result<_, CoreError> {
+                            let mut body = StreamWriter::new_shard(std::mem::take(&mut walk.body));
+                            let stats = walk.walk(
+                                heap,
+                                &mut Direct(methods),
+                                plan.roots(shard),
+                                Emit::Records(kind, &mut body),
+                                plan.owned_by(shard),
+                                collect_order,
+                            )?;
+                            let (body, records) = body.finish_shard();
+                            Ok((body, records, stats))
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker does not panic")).collect()
-        });
+                    .collect();
+                let first = first.walk(
+                    heap,
+                    &mut Direct(methods),
+                    plan.roots(0),
+                    Emit::Records(kind, &mut writer),
+                    plan.owned_by(0),
+                    collect_order,
+                );
+                let joined =
+                    handles.into_iter().map(|h| h.join().expect("shard worker does not panic"));
+                (first, joined.collect())
+            });
         let traverse_time = traverse_timer.elapsed();
 
         let merge_timer = Instant::now();
-        let (mut writer, reused) = self.pool.writer(seq, kind, &root_ids);
-        let mut stats = TraversalStats::default();
-        let mut accesses = trace.then(Vec::new);
+        // Per-shard bytes are each shard's body; the aggregate
+        // `bytes_written` is replaced by the full stream length below, so
+        // the sum never leaks into the record's stats.
+        let mut first = first?;
+        first.bytes_written = (writer.len() - header) as u64;
+        let mut stats = first;
         self.last_shard_stats.clear();
-        for (walk, output) in self.walks.iter().zip(outputs) {
+        self.last_shard_stats.push(first);
+        for (walk, output) in self.walks[1..].iter_mut().zip(outputs) {
             let (body, records, mut shard_stats) = output?;
-            // Per-shard bytes are this shard's body; the aggregate
-            // `bytes_written` is replaced by the full stream length below,
-            // so the sum here never leaks into the record's stats.
             shard_stats.bytes_written = body.len() as u64;
             writer.append_shard(&body, records);
+            walk.body = body;
             stats += shard_stats;
             self.last_shard_stats.push(shard_stats);
-            if let Some(accesses) = &mut accesses {
-                accesses.push(ShardAccess {
-                    visited: walk.order().to_vec(),
-                    recorded: walk.recorded().to_vec(),
-                    stats: shard_stats,
-                });
-            }
         }
+        let accesses = trace.then(|| self.shard_accesses());
         self.settle(heap, roots, shards)?;
-        self.plan_cache = Some(PlanCache {
-            structure_version: heap.structure_version(),
-            roots: roots.to_vec(),
-            workers,
-            plan,
-        });
+        self.plan_cache = Some(PlanCache { structure_version: heap.structure_version(), plan });
 
         stats.bytes_reused = reused;
         stats.bytes_written = writer.len() as u64;
         let bytes = writer.finish();
         self.last_phases = Some(ParallelPhases {
-            plan: if plan_cached { Duration::ZERO } else { plan_time },
+            plan: plan_time,
             traverse: traverse_time,
             merge: merge_timer.elapsed(),
-            plan_cached,
+            plan_source,
             fast_path: false,
         });
         let record = self.seal(seq, root_ids, bytes, stats);
         let shard_trace = accesses.map(|shards| ShardTrace { fast_path: false, shards });
         Ok((record, shard_trace))
+    }
+
+    /// What each shard of the last traversed parallel checkpoint visited
+    /// and recorded, one entry per [`Checkpointer::shard_stats`] entry.
+    fn shard_accesses(&self) -> Vec<ShardAccess> {
+        self.walks
+            .iter()
+            .zip(&self.last_shard_stats)
+            .map(|(walk, &stats)| ShardAccess {
+                visited: walk.order().to_vec(),
+                recorded: walk.recorded().to_vec(),
+                stats,
+            })
+            .collect()
     }
 }
 
@@ -457,6 +571,31 @@ mod tests {
     }
 
     #[test]
+    fn a_one_shard_parallel_checkpoint_plans_nothing() {
+        for (workers, n) in [(1, 6), (0, 6), (4, 1)] {
+            let (mut heap, table, roots) = world(n);
+            let mut reference_heap = heap.clone();
+            let config = CheckpointConfig::incremental().without_journal();
+            let reference =
+                Checkpointer::new(config).checkpoint(&mut reference_heap, &table, &roots).unwrap();
+            let mut ckp = Checkpointer::new(config);
+            let (record, trace) =
+                ckp.checkpoint_parallel_traced(&mut heap, &table, &roots, workers).unwrap();
+            assert_eq!(record.bytes(), reference.bytes(), "{workers} workers, {n} roots");
+            assert_eq!(record.stats(), reference.stats());
+            assert!(ckp.plan_cache.is_none(), "a ShardPlan was built");
+            let phases = *ckp.parallel_phases().unwrap();
+            assert_eq!(phases.plan_source, PlanSource::Unplanned);
+            assert_eq!(phases.plan, Duration::ZERO);
+            assert!(!phases.fast_path && phases.traverse > Duration::ZERO);
+            assert_eq!(trace.shards.len(), 1);
+            assert_eq!(trace.shards[0].visited, ickp_heap::reachable_from(&heap, &roots).unwrap());
+            assert_eq!(ckp.shard_stats(), &[trace.shards[0].stats]);
+            assert!(trace.shards[0].stats.bytes_written < record.stats().bytes_written);
+        }
+    }
+
+    #[test]
     fn phase_breakdown_tracks_cache_and_fast_path() {
         let (mut heap, table, roots) = world(8);
         let mut ckp = Checkpointer::new(CheckpointConfig::incremental().without_journal());
@@ -464,7 +603,8 @@ mod tests {
 
         ckp.checkpoint_parallel(&mut heap, &table, &roots, 4).unwrap();
         let first = *ckp.parallel_phases().unwrap();
-        assert!(!first.fast_path && !first.plan_cached);
+        assert!(!first.fast_path);
+        assert_eq!(first.plan_source, PlanSource::Rebuilt);
         assert!(first.plan > Duration::ZERO, "pre-pass ran");
         assert!(first.traverse > Duration::ZERO && first.merge > Duration::ZERO);
         assert!(first.serial_fraction() > 0.0 && first.serial_fraction() < 1.0);
@@ -472,14 +612,24 @@ mod tests {
         // Unchanged structure: the plan cache serves the second round.
         ckp.checkpoint_parallel(&mut heap, &table, &roots, 4).unwrap();
         let second = *ckp.parallel_phases().unwrap();
-        assert!(second.plan_cached && second.plan == Duration::ZERO);
+        assert_eq!(second.plan_source, PlanSource::Cached);
 
-        // A structure change invalidates the cached plan.
-        let extra = heap.alloc(heap.class_of(roots[0]).unwrap()).unwrap();
+        // Linking a fresh object under a root repairs the plan...
+        let node = heap.class_of(roots[0]).unwrap();
+        let extra = heap.alloc(node).unwrap();
+        let mid = heap.field(roots[0], 1).unwrap();
+        heap.set_field(extra, 1, mid).unwrap();
         heap.set_field(roots[0], 1, Value::Ref(Some(extra))).unwrap();
         ckp.checkpoint_parallel(&mut heap, &table, &roots, 4).unwrap();
         let third = *ckp.parallel_phases().unwrap();
-        assert!(!third.plan_cached && third.plan > Duration::ZERO);
+        assert_eq!(third.plan_source, PlanSource::Repaired);
+        assert!(third.plan > Duration::ZERO, "the repair is timed");
+
+        // ...while cutting a root's subtree off forces a rebuild.
+        heap.set_field(roots[0], 1, Value::Ref(None)).unwrap();
+        ckp.checkpoint_parallel(&mut heap, &table, &roots, 4).unwrap();
+        let fourth = *ckp.parallel_phases().unwrap();
+        assert_eq!(fourth.plan_source, PlanSource::Rebuilt);
 
         // With the journal on, a clean second round is marked fast-path.
         let mut journaled = Checkpointer::new(CheckpointConfig::incremental());

@@ -35,9 +35,9 @@ const TAG_END: u8 = 0xFF;
 /// [`StreamWriter::begin_object`]: tag (1), stable id (8), class id (4),
 /// field count (2). Static byte estimators — the shard-imbalance lint in
 /// `ickp-audit`, the byte-weighted shard balancer
-/// ([`ickp_heap::root_weights`] as invoked by the parallel engine) — add
-/// this to each class's encoded state size to predict a record's exact
-/// stream footprint.
+/// ([`ickp_heap::ShardPlan::root_weights`] as invoked by the parallel
+/// engine) — add this to each class's encoded state size to predict a
+/// record's exact stream footprint.
 pub const RECORD_HEADER_BYTES: usize = 1 + 8 + 4 + 2;
 
 /// Bytes of the stream header before its root table: magic (4), version
@@ -189,6 +189,11 @@ impl StreamWriter {
     /// (never [`StreamWriter::finish`] — a bare body has no header for the
     /// footer to terminate).
     ///
+    /// The body is written into `buf`, cleared first with its capacity
+    /// kept: the parallel engine hands each shard the buffer its last body
+    /// used, so a body that grew to megabytes does not grow again from
+    /// nothing.
+    ///
     /// # Example
     ///
     /// ```
@@ -198,7 +203,7 @@ impl StreamWriter {
     /// let mut reg = ClassRegistry::new();
     /// let leaf = reg.define("Leaf", None, &[("v", FieldType::Int)]).unwrap();
     ///
-    /// let mut shard = StreamWriter::new_shard();
+    /// let mut shard = StreamWriter::new_shard(Vec::new());
     /// shard.begin_object(StableId(1), leaf, 1);
     /// shard.write_int(7);
     /// let (body, records) = shard.finish_shard();
@@ -208,8 +213,9 @@ impl StreamWriter {
     /// let decoded = decode(&merged.finish(), &reg).unwrap();
     /// assert_eq!(decoded.objects.len(), 1);
     /// ```
-    pub fn new_shard() -> StreamWriter {
-        StreamWriter { buf: Vec::with_capacity(64), records: 0, finished: false }
+    pub fn new_shard(mut buf: Vec<u8>) -> StreamWriter {
+        buf.clear();
+        StreamWriter { buf, records: 0, finished: false }
     }
 
     /// Closes a shard body, returning its raw record bytes and record
@@ -900,14 +906,14 @@ mod tests {
 
         // Sharded: the same two records written by two independent shard
         // writers, spliced in shard order.
-        let mut shard0 = StreamWriter::new_shard();
+        let mut shard0 = StreamWriter::new_shard(Vec::new());
         shard0.begin_object(StableId(1), node, 5);
         shard0.write_int(-7);
         shard0.write_long(1 << 40);
         shard0.write_double(2.5);
         shard0.write_bool(true);
         shard0.write_ref(Some(StableId(2)));
-        let mut shard1 = StreamWriter::new_shard();
+        let mut shard1 = StreamWriter::new_shard(Vec::new());
         shard1.begin_object(StableId(2), node, 5);
         shard1.write_int(0);
         shard1.write_long(0);
@@ -929,7 +935,7 @@ mod tests {
     fn empty_shards_merge_to_an_empty_stream() {
         let (reg, _) = registry();
         let mut merged = StreamWriter::new(0, CheckpointKind::Full, &[]);
-        let (body, records) = StreamWriter::new_shard().finish_shard();
+        let (body, records) = StreamWriter::new_shard(Vec::new()).finish_shard();
         assert!(body.is_empty());
         assert_eq!(records, 0);
         merged.append_shard(&body, records);

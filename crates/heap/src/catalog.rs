@@ -11,7 +11,11 @@
 //!    order must bump [`Heap::structure_version`], or a cached
 //!    `JournalCache` replays a stale pre-order;
 //! 3. **epoch**: dirty flags and the journal epoch may only be cleared by
-//!    the checkpoint protocol itself (record → reset → finish epoch).
+//!    the checkpoint protocol itself (record → reset → finish epoch);
+//! 4. **log**: every reference-slot store and every free must land in the
+//!    heap's structural log ([`Heap::structure_changes_since`]), or a
+//!    repaired shard plan misses the rewire and the parallel stream
+//!    diverges.
 //!
 //! This module makes those obligations *data*: each public mutator on
 //! [`Heap`] is registered here with a [`DeclaredEffect`] and a canonical
@@ -19,7 +23,7 @@
 //! `ickp-audit` crate's barrier-coverage pass (`audit_barriers`)
 //! abstract-interprets the catalog against the protocol and cross-checks
 //! every declaration against the probe's observed footprint, so a mutator
-//! added without barrier coverage is caught statically (AUD301–AUD306)
+//! added without barrier coverage is caught statically (AUD301–AUD307)
 //! rather than as a corrupt checkpoint in production.
 
 use crate::error::HeapError;
@@ -66,6 +70,10 @@ pub struct DeclaredEffect {
     /// Every shape change the operation makes bumps
     /// [`Heap::structure_version`] (obligation 2).
     pub bumps_structure_version: bool,
+    /// Every reference-slot store and every free the operation makes is
+    /// named in the structural log (obligation 4). Allocations need no
+    /// entry: a fresh object joins the graph only through a logged store.
+    pub logs_structure: bool,
     /// The operation can clear the modified flag of a live object.
     pub clears_dirty: bool,
     /// The operation closes the journal epoch
@@ -155,6 +163,7 @@ impl MutationCatalog {
             journals_dirty: true,
             journals_unchanged: true,
             bumps_structure_version: true,
+            logs_structure: true,
             ..DeclaredEffect::default()
         };
         let alloc = DeclaredEffect {
@@ -163,6 +172,7 @@ impl MutationCatalog {
             structure_may_change: true,
             journals_dirty: true,
             bumps_structure_version: true,
+            logs_structure: true,
             ..DeclaredEffect::default()
         };
         let entries = vec![
@@ -178,6 +188,7 @@ impl MutationCatalog {
                 effect: DeclaredEffect {
                     structure_may_change: true,
                     bumps_structure_version: true,
+                    logs_structure: true,
                     ..DeclaredEffect::default()
                 },
                 apply: probe_free,
@@ -236,6 +247,7 @@ impl MutationCatalog {
                 effect: DeclaredEffect {
                     structure_may_change: true,
                     bumps_structure_version: true,
+                    logs_structure: true,
                     ..DeclaredEffect::default()
                 },
                 apply: probe_collect,

@@ -15,18 +15,22 @@
 //! slices of the graph whose concatenation reproduces the sequential
 //! traversal exactly.
 //!
-//! The pre-pass itself comes in two interchangeable forms: the sequential
-//! oracle ([`first_touch_plan`] / [`partition_roots`]) and a parallel
-//! version ([`first_touch_plan_parallel`] / [`partition_roots_parallel`])
-//! that computes the *same* plan with per-chunk traversals racing on an
-//! atomic owner array — see the equivalence argument on
-//! [`first_touch_plan_parallel`]. Chunk boundaries can be placed by root
-//! count ([`chunk_bounds`]) or by per-root byte weight
-//! ([`chunk_bounds_weighted`], fed by [`root_weights`]); both stay
-//! contiguous, so the stream-order invariant is untouched.
+//! The pre-pass is one first-touch pass at *root* granularity, in two
+//! interchangeable forms: the sequential oracle ([`first_touch_plan`] /
+//! [`partition_roots`]) and a parallel version
+//! ([`first_touch_plan_parallel`] / [`partition_roots_parallel`]) that
+//! computes the *same* plan with bands of roots racing on an atomic owner
+//! array — see the equivalence argument on [`first_touch_plan_parallel`].
+//! Chunk boundaries can be placed by root count ([`chunk_bounds`]) or by
+//! per-root byte weight ([`chunk_bounds_weighted`], fed by
+//! [`ShardPlan::root_weights`]); both stay contiguous, so the stream-order
+//! invariant is untouched, and re-chunking a plan
+//! ([`ShardPlan::with_bounds`]) needs no traversal. After a few reference
+//! stores, [`ShardPlan::repaired`] re-walks only the roots that own the
+//! writers the heap's structural log names.
 
 use crate::error::HeapError;
-use crate::heap::Heap;
+use crate::heap::{Heap, Object, StructureEvent};
 use crate::ids::ObjectId;
 use crate::value::Value;
 use std::collections::HashSet;
@@ -164,6 +168,17 @@ pub fn validate_acyclic(heap: &Heap, roots: &[ObjectId]) -> Result<(), ReachErro
 ///    each shard's local depth-first order reproduces the global
 ///    depth-first pre-order over all roots, object for object.
 ///
+/// Ownership is kept at *root* granularity: each object records the
+/// lowest-index root that reaches it. Because shards are contiguous ranges
+/// of the root order, "the lowest root reaching `x` lies in shard `s`" and
+/// "the lowest shard reaching `x` is `s`" coincide, so shard ownership is a
+/// range test on the owner root and the plan also knows what each root
+/// owns (object count and encoded bytes). Re-chunking a plan for another
+/// worker count or balance ([`ShardPlan::with_bounds`]) therefore needs no
+/// traversal, and a plan can be brought up to date after a few reference
+/// stores by re-walking only the roots that own the writers
+/// ([`ShardPlan::repaired`]).
+///
 /// # Example
 ///
 /// ```
@@ -186,24 +201,30 @@ pub fn validate_acyclic(heap: &Heap, roots: &[ObjectId]) -> Result<(), ReachErro
 pub struct ShardPlan {
     /// All chunk roots, concatenated in shard order. Shard `i` is the
     /// range `roots[bounds[i]..bounds[i + 1]]` — ranges over one flat
-    /// buffer instead of a `Vec<Vec<ObjectId>>`, so building a plan costs
-    /// two allocations regardless of the shard count (the pre-pass runs on
-    /// every structure change, so this is a measured hot path — see the
-    /// `prepass` microbench).
+    /// buffer instead of a `Vec<Vec<ObjectId>>`.
     roots: Vec<ObjectId>,
     /// Chunk boundaries into `roots`: `bounds.len() == num_shards() + 1`,
-    /// `bounds[0] == 0`, strictly increasing.
+    /// `bounds[0] == 0`, non-decreasing, ending at `roots.len()`.
     bounds: Vec<usize>,
-    /// Owner shard per arena slot ([`UNOWNED`] = unreachable). Dense
-    /// slot-indexed storage (see [`Heap::arena_size`]) keeps the per-object
-    /// ownership test branch-predictable and hash-free, since both the
-    /// pre-pass and every parallel worker consult it on each visit.
+    /// Owner *root index* per arena slot ([`UNOWNED`] = unreachable).
+    /// Dense slot-indexed storage (see [`Heap::arena_size`]) keeps the
+    /// per-object ownership test branch-predictable and hash-free, since
+    /// every parallel worker consults it on each visit.
     owner: Vec<u32>,
+    /// Objects each root owns.
+    counts: Vec<u32>,
+    /// Encoded state bytes (record headers excluded) of the objects each
+    /// root owns.
+    state_bytes: Vec<u64>,
     objects: usize,
 }
 
 /// Sentinel in [`ShardPlan::owner`] for slots not reachable from the roots.
 const UNOWNED: u32 = u32::MAX;
+
+/// Marks a slot the current repair walk has reached; the slot takes the
+/// walk's root index once the walk is over.
+const VISITING: u32 = u32::MAX - 1;
 
 impl ShardPlan {
     /// Number of shards: at most the requested worker count, at most the
@@ -227,11 +248,17 @@ impl ShardPlan {
         &self.roots
     }
 
+    /// The chunk boundaries: shard `i` holds
+    /// `all_roots()[bounds()[i]..bounds()[i + 1]]`.
+    pub fn bounds(&self) -> &[usize] {
+        &self.bounds
+    }
+
     /// The owner array, indexed by arena slot: `owner_table()[id.index()]`
-    /// is the owning shard, or `u32::MAX` for slots not reachable from the
-    /// partitioned roots. Exposed so equivalence suites can assert that two
-    /// pre-pass implementations computed the *same* ownership, slot for
-    /// slot.
+    /// is the index (into [`ShardPlan::all_roots`]) of the lowest root that
+    /// reaches the slot's object, or `u32::MAX` for slots not reachable
+    /// from the partitioned roots. Exposed so equivalence suites can assert
+    /// that two planners computed the *same* ownership, slot for slot.
     pub fn owner_table(&self) -> &[u32] {
         &self.owner
     }
@@ -239,13 +266,31 @@ impl ShardPlan {
     /// The shard that owns `id`, or `None` if `id` was not reachable from
     /// the partitioned root set.
     pub fn owner_of(&self, id: ObjectId) -> Option<u32> {
-        self.owner.get(id.index()).copied().filter(|&s| s != UNOWNED)
+        let root = *self.owner.get(id.index()).filter(|&&r| r != UNOWNED)? as usize;
+        // The last chunk starting at or before `root`; empty chunks share
+        // their start with the next one, so they are skipped.
+        Some((self.bounds.partition_point(|&b| b <= root) - 1) as u32)
     }
 
-    /// `true` if `shard` owns `id`.
-    #[inline]
+    /// `true` if `shard` owns `id`: its owner root lies in the shard's
+    /// chunk.
     pub fn owns(&self, shard: usize, id: ObjectId) -> bool {
-        self.owner.get(id.index()) == Some(&(shard as u32))
+        self.owned_by(shard)(id)
+    }
+
+    /// [`ShardPlan::owns`] for one `shard` as a closure, with the shard's
+    /// root range hoisted out of the per-object test — the filter each
+    /// parallel worker applies to every object it pops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= num_shards()`.
+    pub fn owned_by(&self, shard: usize) -> impl Fn(ObjectId) -> bool + '_ {
+        let start = self.bounds[shard] as u32;
+        let len = self.bounds[shard + 1] as u32 - start;
+        // One unsigned compare: roots below `start` (and the sentinels,
+        // far above any root index) wrap out of range.
+        move |id| self.owner.get(id.index()).is_some_and(|&root| root.wrapping_sub(start) < len)
     }
 
     /// Total number of owned (= reachable) objects across all shards.
@@ -255,13 +300,140 @@ impl ShardPlan {
 
     /// Owned-object count per shard — the load-balance picture.
     pub fn objects_per_shard(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_shards()];
-        for &s in &self.owner {
-            if s != UNOWNED {
-                counts[s as usize] += 1;
+        self.bounds
+            .windows(2)
+            .map(|w| self.counts[w[0]..w[1]].iter().map(|&c| c as usize).sum())
+            .collect()
+    }
+
+    /// Per-root estimate of the stream bytes a full checkpoint attributes
+    /// to each root: every owned object counts `overhead_per_object` (the
+    /// per-record header bytes) plus its class's encoded state size.
+    ///
+    /// For contiguous chunkings the estimate is *exact* per shard: a
+    /// shard's byte footprint is the sum of its roots' weights. These
+    /// weights feed [`chunk_bounds_weighted`]; the same estimate is what
+    /// the shard-imbalance lint (AUD205 in `ickp-audit`) computes per
+    /// shard, so balancing on it closes that feedback loop.
+    pub fn root_weights(&self, overhead_per_object: u64) -> Vec<u64> {
+        self.counts
+            .iter()
+            .zip(&self.state_bytes)
+            .map(|(&count, &bytes)| u64::from(count) * overhead_per_object + bytes)
+            .collect()
+    }
+
+    /// The same ownership re-chunked at `bounds` (as computed by
+    /// [`chunk_bounds`] or [`chunk_bounds_weighted`] over
+    /// `all_roots().len()`). No traversal: ownership is per root.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bounds` starts at 0, never decreases, and ends at
+    /// the root count.
+    pub fn with_bounds(mut self, bounds: Vec<usize>) -> ShardPlan {
+        assert!(
+            bounds.first() == Some(&0)
+                && bounds.last() == Some(&self.roots.len())
+                && bounds.windows(2).all(|w| w[0] <= w[1]),
+            "chunk bounds must tile the root set"
+        );
+        self.bounds = bounds;
+        self
+    }
+
+    /// Brings a plan up to date after the shape changes `changes` (as
+    /// returned by [`Heap::structure_changes_since`] for the version the
+    /// plan was built at), over the same roots. Returns `None` when the
+    /// changes call for a rebuild instead. Chunk bounds are kept; callers
+    /// re-chunk from the new [`ShardPlan::root_weights`].
+    ///
+    /// The repair re-walks, in ascending order, each root that owned a
+    /// logged writer. A walk prunes at objects owned by a lower root and
+    /// claims every object that is unowned or owned by a higher root,
+    /// moving the object's count and bytes along. Every other object keeps
+    /// its owner: an unwritten path from a root is unchanged, and a
+    /// written object's new edges are followed by its owner's re-walk. The
+    /// result equals a fresh first-touch plan slot for slot. A rebuild is
+    /// needed (`None`) when:
+    ///
+    /// * a re-walk reaches fewer of its own objects than the root owned —
+    ///   something was detached, and its new owner is unknown;
+    /// * a logged free hit an owned slot;
+    /// * the re-walks visit more than `budget` objects in total.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeapError::DanglingObject`] if a re-walk reaches a freed
+    /// object — as a rebuild would.
+    pub fn repaired(
+        mut self,
+        heap: &Heap,
+        changes: &[StructureEvent],
+        budget: usize,
+    ) -> Result<Option<ShardPlan>, HeapError> {
+        self.owner.resize(heap.arena_size(), UNOWNED);
+        let mut dirty = Vec::new();
+        for &change in changes {
+            match change {
+                StructureEvent::Free(id) if self.owner[id.index()] != UNOWNED => return Ok(None),
+                StructureEvent::Free(_) => {}
+                StructureEvent::Store(id) => {
+                    let root = self.owner[id.index()];
+                    if root != UNOWNED {
+                        dirty.push(root);
+                    }
+                }
             }
         }
-        counts
+        dirty.sort_unstable();
+        dirty.dedup();
+
+        let sizes = class_sizes(heap);
+        let mut stack = Vec::new();
+        let mut reached: Vec<usize> = Vec::new();
+        let mut spent = 0usize;
+        for root in dirty {
+            let r = root as usize;
+            let owned_before = self.counts[r];
+            let mut own = 0u32;
+            stack.push(self.roots[r]);
+            while let Some(id) = stack.pop() {
+                let slot = id.index();
+                let prev = self.owner[slot];
+                if prev == VISITING || prev < root {
+                    continue;
+                }
+                let obj = heap.object(id)?;
+                if prev == root {
+                    own += 1;
+                } else {
+                    let size = sizes[obj.class().index()];
+                    if prev == UNOWNED {
+                        self.objects += 1;
+                    } else {
+                        self.counts[prev as usize] -= 1;
+                        self.state_bytes[prev as usize] -= size;
+                    }
+                    self.counts[r] += 1;
+                    self.state_bytes[r] += size;
+                }
+                self.owner[slot] = VISITING;
+                reached.push(slot);
+                spent += 1;
+                if spent > budget {
+                    return Ok(None);
+                }
+                stack.extend(children(obj).rev());
+            }
+            if own < owned_before {
+                return Ok(None);
+            }
+            for slot in reached.drain(..) {
+                self.owner[slot] = root;
+            }
+        }
+        Ok(Some(self))
     }
 
     /// The objects `shard` owns, in the order its worker visits (and, for
@@ -293,15 +465,42 @@ impl ShardPlan {
                 continue;
             }
             order.push(id);
-            let obj = heap.object(id)?;
-            for value in obj.fields().iter().rev() {
-                if let Value::Ref(Some(child)) = value {
-                    stack.push(*child);
-                }
-            }
+            stack.extend(children(heap.object(id)?).rev());
         }
         Ok(order)
     }
+
+    /// Recounts what each root owns from the owner table.
+    fn tally(&mut self, heap: &Heap) {
+        let sizes = class_sizes(heap);
+        self.counts = vec![0; self.roots.len()];
+        self.state_bytes = vec![0; self.roots.len()];
+        self.objects = 0;
+        for (slot, &root) in self.owner.iter().enumerate() {
+            if root == UNOWNED {
+                continue;
+            }
+            // Every claimed slot was read live by the walk that claimed it.
+            if let Some(class) = heap.slot_class(slot) {
+                self.counts[root as usize] += 1;
+                self.state_bytes[root as usize] += sizes[class.index()];
+                self.objects += 1;
+            }
+        }
+    }
+}
+
+/// The children of `obj` (non-null reference slots), in field order.
+fn children(obj: &Object) -> impl DoubleEndedIterator<Item = ObjectId> + '_ {
+    obj.fields().iter().filter_map(|value| match value {
+        Value::Ref(Some(child)) => Some(*child),
+        _ => None,
+    })
+}
+
+/// Encoded state size per class, indexed by class index.
+fn class_sizes(heap: &Heap) -> Vec<u64> {
+    heap.registry().iter().map(|class| class.encoded_state_size() as u64).collect()
 }
 
 /// Computes count-balanced contiguous chunk boundaries over a root slice of
@@ -331,10 +530,11 @@ pub fn chunk_bounds(len: usize, shards: usize) -> Vec<usize> {
 }
 
 /// Computes **byte-weighted** contiguous chunk boundaries: `weights[i]` is
-/// the estimated stream contribution of root `i` (see [`root_weights`]),
-/// and boundary `j` is placed at the smallest index whose weight prefix sum
-/// reaches `j/k` of the total — clamped so every chunk keeps at least one
-/// root. Same return convention as [`chunk_bounds`].
+/// the estimated stream contribution of root `i` (see
+/// [`ShardPlan::root_weights`]), and boundary `j` is placed at the smallest
+/// index whose weight prefix sum reaches `j/k` of the total — clamped so
+/// every chunk keeps at least one root. Same return convention as
+/// [`chunk_bounds`].
 ///
 /// Chunks stay contiguous, so the sequential-order concatenation invariant
 /// (and therefore byte-identity of the merged parallel stream) is
@@ -410,7 +610,9 @@ fn flatten_chunks(chunks: Vec<Vec<ObjectId>>) -> (Vec<ObjectId>, Vec<usize>) {
 /// first. This is the sequential ownership oracle behind
 /// [`partition_roots`], exposed separately so callers with a non-contiguous
 /// or hand-built chunking (tests, the shard audit) can compute the same
-/// deterministic prediction the parallel engine relies on.
+/// deterministic prediction the parallel engine relies on. (The chunks are
+/// flattened in order, so each chunk is a contiguous range of the plan's
+/// root list, and root-granularity ownership applies unchanged.)
 ///
 /// # Errors
 ///
@@ -418,41 +620,43 @@ fn flatten_chunks(chunks: Vec<Vec<ObjectId>>) -> (Vec<ObjectId>, Vec<usize>) {
 /// at a freed object.
 pub fn first_touch_plan(heap: &Heap, chunks: Vec<Vec<ObjectId>>) -> Result<ShardPlan, HeapError> {
     let (roots, bounds) = flatten_chunks(chunks);
-    first_touch_sequential(heap, roots, bounds)
+    first_touch(heap, roots, bounds, 1)
 }
 
 /// Computes the same [`ShardPlan`] as [`first_touch_plan`] — same owner
-/// array, slot for slot — with one traversal *per chunk* running in
-/// parallel, racing on an atomic owner array with `fetch_min`.
+/// array, slot for slot — with the roots split into one band per chunk and
+/// the bands traversed in parallel, racing on an atomic owner array with
+/// `fetch_min`.
 ///
 /// **Equivalence argument.** Sequential first-touch ownership equals
-/// "lowest-index chunk that can reach the object": chunk *i*'s sequential
-/// traversal only skips nodes already owned by chunks `< i`, and first-touch
+/// "lowest-index root that can reach the object": root *i*'s sequential
+/// traversal only skips nodes already owned by roots `< i`, and first-touch
 /// ownership is closed under reachability, so everything behind a skipped
-/// node is also owned by an earlier chunk. That reformulation is
-/// order-free, so each chunk can traverse independently and claim nodes
-/// with an atomic minimum: a worker for chunk *i* expands a node only when
+/// node is also owned by an earlier root. That reformulation is
+/// order-free, so each root can be traversed independently and claim nodes
+/// with an atomic minimum: a walk for root *i* expands a node only when
 /// `fetch_min(i)` observed a previous owner `> i`, and prunes when the
-/// previous owner is `<= i` (either chunk *i* itself already expanded it,
-/// or a lower chunk reaches it — and, along any path from chunk *i*'s roots
-/// to a node whose minimum reaching chunk is *i*, every intermediate node
-/// *also* has minimum *i*, so the pruning never cuts chunk *i* off from a
-/// node it must own). `Relaxed` ordering suffices: a stale high read only
-/// causes a redundant push, never a wrong final value, and the spawning
-/// scope's join synchronizes the final reads.
+/// previous owner is `<= i` (either root *i* itself already expanded it,
+/// or a lower root reaches it — and, along any path from root *i* to a
+/// node whose minimum reaching root is *i*, every intermediate node *also*
+/// has minimum *i*, so the pruning never cuts root *i* off from a node it
+/// must own). `Relaxed` ordering suffices: a stale high read only causes a
+/// redundant push, never a wrong final value, and the spawning scope's
+/// join synchronizes the final reads.
 ///
 /// # Errors
 ///
 /// Returns [`HeapError::DanglingObject`] if a traversed reference points at
 /// a freed object. Which worker trips the error first is
 /// schedule-dependent; the error reported is the one from the
-/// lowest-indexed failing chunk.
+/// lowest-indexed failing band.
 pub fn first_touch_plan_parallel(
     heap: &Heap,
     chunks: Vec<Vec<ObjectId>>,
 ) -> Result<ShardPlan, HeapError> {
+    let threads = chunks.len();
     let (roots, bounds) = flatten_chunks(chunks);
-    first_touch_parallel(heap, roots, bounds)
+    first_touch(heap, roots, bounds, threads)
 }
 
 /// Splits `roots` into at most `shards` contiguous chunks and assigns every
@@ -474,12 +678,13 @@ pub fn partition_roots(
     roots: &[ObjectId],
     shards: usize,
 ) -> Result<ShardPlan, HeapError> {
-    first_touch_sequential(heap, roots.to_vec(), chunk_bounds(roots.len(), shards))
+    first_touch(heap, roots.to_vec(), chunk_bounds(roots.len(), shards), 1)
 }
 
-/// [`partition_roots`] with the ownership pre-pass run in parallel, one
-/// worker per chunk (see [`first_touch_plan_parallel`] for the equivalence
-/// argument). Produces the identical [`ShardPlan`].
+/// [`partition_roots`] with the ownership pass run in parallel, one
+/// thread per shard over its band of roots (see
+/// [`first_touch_plan_parallel`] for the equivalence argument). Produces
+/// the identical [`ShardPlan`].
 ///
 /// # Errors
 ///
@@ -490,90 +695,66 @@ pub fn partition_roots_parallel(
     roots: &[ObjectId],
     shards: usize,
 ) -> Result<ShardPlan, HeapError> {
-    first_touch_parallel(heap, roots.to_vec(), chunk_bounds(roots.len(), shards))
+    first_touch(heap, roots.to_vec(), chunk_bounds(roots.len(), shards), shards)
 }
 
-/// Splits `roots` into at most `shards` contiguous chunks whose boundaries
-/// are placed by the per-root byte estimates `weights` (see
-/// [`chunk_bounds_weighted`] and [`root_weights`]), then assigns first-touch
-/// ownership with the parallel pre-pass.
-///
-/// Because the weighted chunks are still contiguous, the resulting plan
-/// satisfies the same two invariants as [`partition_roots`] (prunability
-/// and sequential-order concatenation) and produces byte-identical merged
-/// streams; only the load balance changes.
-///
-/// # Panics
-///
-/// Panics if `weights.len() != roots.len()`.
-///
-/// # Errors
-///
-/// Returns [`HeapError::DanglingObject`] if a traversed reference points at
-/// a freed object.
-pub fn partition_roots_weighted(
-    heap: &Heap,
-    roots: &[ObjectId],
-    weights: &[u64],
-    shards: usize,
-) -> Result<ShardPlan, HeapError> {
-    assert_eq!(weights.len(), roots.len(), "one weight per root");
-    first_touch_parallel(heap, roots.to_vec(), chunk_bounds_weighted(weights, shards))
-}
-
-/// The sequential first-touch oracle over the flat (roots, bounds)
-/// representation.
-fn first_touch_sequential(
+/// The one first-touch pass at root granularity, sequential for
+/// `threads <= 1`, followed by the per-root tally.
+fn first_touch(
     heap: &Heap,
     roots: Vec<ObjectId>,
     bounds: Vec<usize>,
+    threads: usize,
 ) -> Result<ShardPlan, HeapError> {
+    assert!(roots.len() < VISITING as usize, "root indices must fit below the sentinels");
+    let bands = threads.min(roots.len());
+    let owner = if bands <= 1 {
+        claim_sequential(heap, &roots)?
+    } else {
+        claim_parallel(heap, &roots, bands)?
+    };
+    let mut plan =
+        ShardPlan { roots, bounds, owner, counts: Vec::new(), state_bytes: Vec::new(), objects: 0 };
+    plan.tally(heap);
+    Ok(plan)
+}
+
+/// The sequential oracle: each root in order claims, depth-first, every
+/// object no earlier root claimed.
+fn claim_sequential(heap: &Heap, roots: &[ObjectId]) -> Result<Vec<u32>, HeapError> {
     let mut owner: Vec<u32> = vec![UNOWNED; heap.arena_size()];
-    let mut objects = 0usize;
     let mut stack: Vec<ObjectId> = Vec::new();
-    for (index, window) in bounds.windows(2).enumerate() {
-        stack.extend(roots[window[0]..window[1]].iter().rev());
+    for (index, &root) in roots.iter().enumerate() {
+        stack.push(root);
         while let Some(id) = stack.pop() {
             if owner[id.index()] != UNOWNED {
                 continue;
             }
             owner[id.index()] = index as u32;
-            objects += 1;
-            let obj = heap.object(id)?;
-            for value in obj.fields().iter().rev() {
-                if let Value::Ref(Some(child)) = value {
-                    if owner[child.index()] == UNOWNED {
-                        stack.push(*child);
-                    }
-                }
-            }
+            stack.extend(children(heap.object(id)?).rev().filter(|c| owner[c.index()] == UNOWNED));
         }
     }
-    Ok(ShardPlan { roots, bounds, owner, objects })
+    Ok(owner)
 }
 
-/// The parallel first-touch pre-pass: one scoped worker per chunk, all
-/// racing `fetch_min` claims on a shared atomic owner array.
-fn first_touch_parallel(
-    heap: &Heap,
-    roots: Vec<ObjectId>,
-    bounds: Vec<usize>,
-) -> Result<ShardPlan, HeapError> {
-    let shards = bounds.len() - 1;
-    if shards <= 1 {
-        // One chunk cannot race with anyone; skip the thread machinery.
-        return first_touch_sequential(heap, roots, bounds);
-    }
+/// The parallel pass: `bands` scoped workers, each claiming its
+/// contiguous band of roots one root at a time, all racing `fetch_min`
+/// claims on a shared atomic owner array.
+fn claim_parallel(heap: &Heap, roots: &[ObjectId], bands: usize) -> Result<Vec<u32>, HeapError> {
     let owner: Vec<AtomicU32> = (0..heap.arena_size()).map(|_| AtomicU32::new(UNOWNED)).collect();
     let results: Vec<Result<(), HeapError>> = std::thread::scope(|scope| {
         let owner = &owner;
-        let roots = &roots;
-        let handles: Vec<_> = bounds
+        let handles: Vec<_> = chunk_bounds(roots.len(), bands)
             .windows(2)
-            .enumerate()
-            .map(|(index, window)| {
-                let chunk = &roots[window[0]..window[1]];
-                scope.spawn(move || claim_chunk(heap, owner, chunk, index as u32))
+            .map(|window| {
+                let (start, end) = (window[0], window[1]);
+                scope.spawn(move || {
+                    let mut stack = Vec::new();
+                    for (index, &root) in (start..end).zip(&roots[start..end]) {
+                        claim_root(heap, owner, &mut stack, root, index as u32)?;
+                    }
+                    Ok(())
+                })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("pre-pass worker panicked")).collect()
@@ -581,134 +762,35 @@ fn first_touch_parallel(
     for result in results {
         result?;
     }
-    let mut objects = 0usize;
-    let owner: Vec<u32> = owner
-        .into_iter()
-        .map(|slot| {
-            let s = slot.into_inner();
-            objects += usize::from(s != UNOWNED);
-            s
-        })
-        .collect();
-    Ok(ShardPlan { roots, bounds, owner, objects })
+    Ok(owner.into_iter().map(AtomicU32::into_inner).collect())
 }
 
-/// Depth-first claim traversal for one chunk: claim each reached node with
+/// Depth-first claim traversal for one root: claim each reached node with
 /// `fetch_min(index)`, expand it only if the previous owner was higher, and
 /// prune wherever a lower (or equal, i.e. already-visited) owner holds the
 /// slot. See [`first_touch_plan_parallel`] for why pruning at lower-owned
 /// nodes is safe.
-fn claim_chunk(
+fn claim_root(
     heap: &Heap,
     owner: &[AtomicU32],
-    chunk: &[ObjectId],
+    stack: &mut Vec<ObjectId>,
+    root: ObjectId,
     index: u32,
 ) -> Result<(), HeapError> {
-    let mut stack: Vec<ObjectId> = chunk.iter().rev().copied().collect();
+    stack.push(root);
     while let Some(id) = stack.pop() {
         if owner[id.index()].fetch_min(index, Ordering::Relaxed) <= index {
             continue;
         }
-        let obj = heap.object(id)?;
-        for value in obj.fields().iter().rev() {
-            if let Value::Ref(Some(child)) = value {
-                // A stale high read only costs a redundant push; the claim
-                // above re-checks before expanding.
-                if owner[child.index()].load(Ordering::Relaxed) > index {
-                    stack.push(*child);
-                }
-            }
-        }
+        // A stale high read only costs a redundant push; the claim above
+        // re-checks before expanding.
+        stack.extend(
+            children(heap.object(id)?)
+                .rev()
+                .filter(|c| owner[c.index()].load(Ordering::Relaxed) > index),
+        );
     }
     Ok(())
-}
-
-/// Estimates, for every root, the number of stream bytes a full checkpoint
-/// of the whole root set attributes to that root: each reachable object
-/// counts `overhead_per_object` (the per-record header bytes) plus its
-/// class's encoded state size, credited to the **lowest-index root** that
-/// reaches it.
-///
-/// First-touch at root granularity makes the estimate *exact* for
-/// contiguous chunkings: a chunk's byte footprint under first-touch
-/// ownership is precisely the sum of its roots' weights, because "lowest
-/// root reaching an object lies in chunk c" and "lowest chunk reaching it
-/// is c" coincide when chunks are contiguous in root order. These weights
-/// feed [`chunk_bounds_weighted`] / [`partition_roots_weighted`]; the same
-/// estimate is what the shard-imbalance lint (AUD205 in `ickp-audit`)
-/// computes per shard, so balancing on it closes that feedback loop.
-///
-/// The per-root ownership pass runs in parallel (contiguous bands of roots
-/// across the available cores, same claim algorithm as
-/// [`first_touch_plan_parallel`]); the byte summation is one scan over the
-/// live arena.
-///
-/// # Errors
-///
-/// Returns [`HeapError::DanglingObject`] if a traversed reference points at
-/// a freed object.
-pub fn root_weights(
-    heap: &Heap,
-    roots: &[ObjectId],
-    overhead_per_object: u64,
-) -> Result<Vec<u64>, HeapError> {
-    let n = roots.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let owner: Vec<AtomicU32> = (0..heap.arena_size()).map(|_| AtomicU32::new(UNOWNED)).collect();
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(n);
-    let bands = chunk_bounds(n, workers);
-    let results: Vec<Result<(), HeapError>> = std::thread::scope(|scope| {
-        let owner = &owner;
-        let handles: Vec<_> = bands
-            .windows(2)
-            .map(|window| {
-                let (start, end) = (window[0], window[1]);
-                let band = &roots[start..end];
-                scope.spawn(move || {
-                    for (offset, root) in band.iter().enumerate() {
-                        claim_chunk(
-                            heap,
-                            owner,
-                            std::slice::from_ref(root),
-                            (start + offset) as u32,
-                        )?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("weight worker panicked")).collect()
-    });
-    for result in results {
-        result?;
-    }
-    let mut weights = vec![0u64; n];
-    // Per-class encoded sizes are pure functions of the layout; memoize by
-    // class index so the summation scan stays O(live objects).
-    let mut class_sizes: Vec<Option<u64>> = Vec::new();
-    for id in heap.iter_live() {
-        let root = owner[id.index()].load(Ordering::Relaxed);
-        if root == UNOWNED {
-            continue;
-        }
-        let class = heap.class_of(id)?;
-        let ci = class.index();
-        if ci >= class_sizes.len() {
-            class_sizes.resize(ci + 1, None);
-        }
-        let state = match class_sizes[ci] {
-            Some(s) => s,
-            None => {
-                let s = heap.class(class)?.encoded_state_size() as u64;
-                class_sizes[ci] = Some(s);
-                s
-            }
-        };
-        weights[root as usize] += overhead_per_object + state;
-    }
-    Ok(weights)
 }
 
 #[cfg(test)]
@@ -1007,9 +1089,10 @@ mod tests {
         heap.set_field(roots[0], 2, Value::Ref(Some(shared))).unwrap();
         heap.set_field(roots[5], 2, Value::Ref(Some(shared))).unwrap();
         let sequential = reachable_from(&heap, &roots).unwrap();
-        let weights = root_weights(&heap, &roots, 15).unwrap();
+        let owned = partition_roots(&heap, &roots, 1).unwrap();
+        let weights = owned.root_weights(15);
         for shards in [1, 2, 3, 7] {
-            let plan = partition_roots_weighted(&heap, &roots, &weights, shards).unwrap();
+            let plan = owned.clone().with_bounds(chunk_bounds_weighted(&weights, shards));
             let mut merged = Vec::new();
             for shard in 0..plan.num_shards() {
                 merged.extend(plan.shard_preorder(&heap, shard).unwrap());
@@ -1029,12 +1112,74 @@ mod tests {
         heap.set_field(b, 1, Value::Ref(Some(shared))).unwrap();
         // Node: int(4) + ref(8) + ref(8) = 20 state bytes; overhead 15.
         let per_object = 15 + 20u64;
-        let weights = root_weights(&heap, &[a, b], 15).unwrap();
+        let weights = partition_roots_parallel(&heap, &[a, b], 2).unwrap().root_weights(15);
         assert_eq!(weights, vec![2 * per_object, per_object]);
         // Weights sum to the full-checkpoint footprint: each reachable
         // object counted exactly once.
         let reachable = reachable_from(&heap, &[a, b]).unwrap().len() as u64;
         assert_eq!(weights.iter().sum::<u64>(), reachable * per_object);
+    }
+
+    /// Repairs `plan` (built at `version`) from the heap's log, with a
+    /// generous budget.
+    fn repair(plan: ShardPlan, heap: &Heap, version: u64) -> Option<ShardPlan> {
+        let changes = heap.structure_changes_since(version).expect("log covers the cursor");
+        plan.repaired(heap, changes, usize::MAX).unwrap()
+    }
+
+    #[test]
+    fn repair_follows_a_rewire_and_a_cross_root_link() {
+        let (mut heap, node) = list_heap();
+        let roots = chains(&mut heap, node, 4);
+        let plan = partition_roots(&heap, &roots, 2).unwrap();
+        let version = heap.structure_version();
+        // Root 0 adopts root 3's tail, and a fresh node joins root 1.
+        let tail3 = match heap.field(roots[3], 1).unwrap() {
+            Value::Ref(Some(t)) => t,
+            other => panic!("chain head without tail: {other:?}"),
+        };
+        heap.set_field(roots[0], 2, Value::Ref(Some(tail3))).unwrap();
+        let fresh = heap.alloc(node).unwrap();
+        heap.set_field(roots[1], 2, Value::Ref(Some(fresh))).unwrap();
+        let repaired = repair(plan, &heap, version).expect("no detach, no owned free");
+        let bounds = repaired.bounds().to_vec();
+        assert_eq!(repaired, partition_roots(&heap, &roots, 2).unwrap().with_bounds(bounds));
+        assert_eq!(repaired.owner_of(tail3), Some(0));
+        assert_eq!(repaired.owner_of(fresh), Some(0));
+    }
+
+    #[test]
+    fn repair_gives_up_on_a_detach_an_owned_free_or_an_exhausted_budget() {
+        let (mut heap, node) = list_heap();
+        let roots = chains(&mut heap, node, 3);
+        let garbage = heap.alloc(node).unwrap();
+        let plan = partition_roots(&heap, &roots, 3).unwrap();
+        let version = heap.structure_version();
+
+        let mut detached = heap.clone();
+        detached.set_field(roots[1], 1, Value::Ref(None)).unwrap();
+        assert_eq!(repair(plan.clone(), &detached, version), None, "detach");
+
+        let mut freed = heap.clone();
+        let tail = match freed.field(roots[2], 1).unwrap() {
+            Value::Ref(Some(t)) => t,
+            other => panic!("chain head without tail: {other:?}"),
+        };
+        freed.set_field(roots[2], 1, Value::Ref(None)).unwrap();
+        freed.free(tail).unwrap();
+        assert_eq!(repair(plan.clone(), &freed, version), None, "owned free");
+
+        // Freeing garbage nobody owns is no reason to rebuild.
+        let mut swept = heap.clone();
+        swept.free(garbage).unwrap();
+        assert!(repair(plan.clone(), &swept, version).is_some(), "unowned free");
+
+        let mut grown = heap.clone();
+        let fresh = grown.alloc(node).unwrap();
+        grown.set_field(roots[0], 2, Value::Ref(Some(fresh))).unwrap();
+        let changes = grown.structure_changes_since(version).unwrap();
+        assert!(plan.clone().repaired(&grown, changes, 3).unwrap().is_some(), "3 visits fit");
+        assert_eq!(plan.repaired(&grown, changes, 2).unwrap(), None, "over budget");
     }
 
     #[test]

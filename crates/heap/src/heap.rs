@@ -82,6 +82,65 @@ pub struct HeapStats {
     pub barrier_marks: u64,
 }
 
+/// One shape change recorded in the heap's structural log (see
+/// [`Heap::structure_changes_since`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum StructureEvent {
+    /// A store to a reference slot of this object (barriered or not).
+    Store(ObjectId),
+    /// This object was freed.
+    Free(ObjectId),
+}
+
+/// Entries the structural log holds before it drops its older half.
+///
+/// A checkpoint's epoch boundary empties the log, so it only has to hold
+/// the reference stores and frees of one checkpoint interval; an interval
+/// with more shape changes than this reads as "unknown" to the cursors it
+/// outlived.
+pub const STRUCTURE_LOG_CAPACITY: usize = 1 << 14;
+
+/// The bounded log of shape changes behind
+/// [`Heap::structure_changes_since`]: every logged event carries the
+/// `structure_version` its bump produced, so a cursor reads exactly the
+/// events after it.
+#[derive(Debug, Clone, Default)]
+struct StructureLog {
+    /// The log holds every event whose version is above this one.
+    since: u64,
+    versions: Vec<u64>,
+    events: Vec<StructureEvent>,
+}
+
+impl StructureLog {
+    fn push(&mut self, version: u64, event: StructureEvent) {
+        if self.events.len() == STRUCTURE_LOG_CAPACITY {
+            // Drop the older half: cursors inside it turn "unknown", the
+            // recent ones stay answerable.
+            let half = STRUCTURE_LOG_CAPACITY / 2;
+            self.since = self.versions[half - 1];
+            self.versions.drain(..half);
+            self.events.drain(..half);
+        }
+        self.versions.push(version);
+        self.events.push(event);
+    }
+
+    fn trim(&mut self, version: u64) {
+        self.since = version;
+        self.versions.clear();
+        self.events.clear();
+    }
+
+    fn since(&self, version: u64, current: u64) -> Option<&[StructureEvent]> {
+        if version < self.since || version > current {
+            return None;
+        }
+        let start = self.versions.partition_point(|&v| v <= version);
+        Some(&self.events[start..])
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Slot {
     generation: u32,
@@ -121,6 +180,9 @@ pub struct Heap {
     /// whenever the object graph's *shape* may have changed. Checkpoint
     /// fast paths cache traversal orders keyed on this counter.
     structure_version: u64,
+    /// Who changed the shape since the last epoch boundary: the writer of
+    /// every reference-slot store and every freed object.
+    structure_log: StructureLog,
 }
 
 impl Heap {
@@ -137,6 +199,7 @@ impl Heap {
             journal_epoch: 0,
             live_dirty: 0,
             structure_version: 0,
+            structure_log: StructureLog::default(),
         }
     }
 
@@ -292,6 +355,7 @@ impl Heap {
         self.live -= 1;
         self.stats.frees += 1;
         self.structure_version = self.structure_version.wrapping_add(1);
+        self.structure_log.push(self.structure_version, StructureEvent::Free(id));
         Ok(object)
     }
 
@@ -469,8 +533,10 @@ impl Heap {
         }
         if is_ref {
             // A rewired reference can change what is reachable and in what
-            // order, so cached traversal orders must be rebuilt.
+            // order, so cached traversal orders must be rebuilt; the log
+            // names the writer so a cached shard plan can be repaired.
             self.structure_version = self.structure_version.wrapping_add(1);
+            self.structure_log.push(self.structure_version, StructureEvent::Store(id));
         }
         Ok(())
     }
@@ -558,6 +624,12 @@ impl Heap {
         self.slots.len()
     }
 
+    /// The class of the live object in arena slot `index`, if any — a
+    /// handle-free lookup for scans over slot-indexed tables.
+    pub(crate) fn slot_class(&self, index: usize) -> Option<ClassId> {
+        self.slots.get(index)?.object.as_ref().map(|obj| obj.class)
+    }
+
     /// Iterates over the handles of all live objects, in slot order.
     pub fn iter_live(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.slots.iter().enumerate().filter_map(|(i, s)| {
@@ -610,6 +682,21 @@ impl Heap {
         self.structure_version
     }
 
+    /// Every shape change since [`Heap::structure_version`] read
+    /// `version`, in order: the writer of each reference-slot store
+    /// (barriered or not) and each freed object. Allocations are not
+    /// listed; a fresh object only joins the graph through a logged store.
+    ///
+    /// Returns `None` — "unknown", never a partial list — when the log no
+    /// longer reaches back to `version`: an epoch boundary
+    /// ([`Heap::finish_journal_epoch`]) emptied it since, or more than
+    /// [`STRUCTURE_LOG_CAPACITY`] changes pushed the cursor out. A
+    /// `version` ahead of the heap's (a cursor from another heap) is
+    /// unknown too.
+    pub fn structure_changes_since(&self, version: u64) -> Option<&[StructureEvent]> {
+        self.structure_log.since(version, self.structure_version)
+    }
+
     /// `true` if any journal entry still refers to a live, modified object
     /// — i.e. the next incremental checkpoint would record something.
     ///
@@ -646,7 +733,12 @@ impl Heap {
     /// successful checkpoint; the retained entries are exactly the dirty
     /// objects the checkpoint did not cover (e.g. currently unreachable
     /// ones). Returns the number of entries carried into the new epoch.
+    ///
+    /// The epoch boundary also empties the structural log: only cursors
+    /// taken from here on can be answered by
+    /// [`Heap::structure_changes_since`].
     pub fn finish_journal_epoch(&mut self) -> usize {
+        self.structure_log.trim(self.structure_version);
         let slots = &mut self.slots;
         self.journal.retain(|id| {
             let obj = slots
@@ -943,6 +1035,44 @@ mod tests {
         let v = heap.structure_version();
         heap.alloc(node).unwrap();
         assert_ne!(heap.structure_version(), v);
+    }
+
+    #[test]
+    fn structure_log_names_ref_writers_and_frees_since_a_cursor() {
+        let (mut heap, node, _) = small_heap();
+        let a = heap.alloc(node).unwrap();
+        let b = heap.alloc(node).unwrap();
+        let v0 = heap.structure_version();
+        assert_eq!(heap.structure_changes_since(v0), Some(&[][..]));
+        heap.set_field(a, 0, Value::Int(1)).unwrap(); // scalar: not logged
+        heap.set_field(a, 1, Value::Ref(Some(b))).unwrap();
+        let v1 = heap.structure_version();
+        heap.set_field_unbarriered(b, 1, Value::Ref(None)).unwrap();
+        heap.alloc(node).unwrap(); // allocations are not logged
+        heap.free(a).unwrap();
+        let all = [StructureEvent::Store(a), StructureEvent::Store(b), StructureEvent::Free(a)];
+        assert_eq!(heap.structure_changes_since(v0), Some(&all[..]));
+        assert_eq!(heap.structure_changes_since(v1), Some(&all[1..]));
+        assert_eq!(heap.structure_changes_since(heap.structure_version() + 1), None);
+    }
+
+    #[test]
+    fn structure_log_is_unknown_past_an_epoch_boundary_or_an_overflow() {
+        let (mut heap, node, _) = small_heap();
+        let a = heap.alloc(node).unwrap();
+        let v0 = heap.structure_version();
+        heap.set_field(a, 1, Value::Ref(None)).unwrap();
+        heap.finish_journal_epoch();
+        assert_eq!(heap.structure_changes_since(v0), None, "trimmed at the epoch boundary");
+        let v1 = heap.structure_version();
+        assert_eq!(heap.structure_changes_since(v1), Some(&[][..]));
+        for _ in 0..STRUCTURE_LOG_CAPACITY {
+            heap.set_field(a, 1, Value::Ref(None)).unwrap();
+        }
+        let recent = heap.structure_version();
+        heap.set_field(a, 1, Value::Ref(None)).unwrap();
+        assert_eq!(heap.structure_changes_since(v1), None, "the overflow dropped this cursor");
+        assert_eq!(heap.structure_changes_since(recent), Some(&[StructureEvent::Store(a)][..]));
     }
 
     #[test]

@@ -60,10 +60,10 @@ pub use error::HeapError;
 pub use gc::GcStats;
 pub use graph::{
     chunk_bounds, chunk_bounds_weighted, chunk_roots, chunk_roots_weighted, first_touch_plan,
-    first_touch_plan_parallel, partition_roots, partition_roots_parallel, partition_roots_weighted,
-    reachable_from, root_weights, validate_acyclic, ReachError, ShardPlan,
+    first_touch_plan_parallel, partition_roots, partition_roots_parallel, reachable_from,
+    validate_acyclic, ReachError, ShardPlan,
 };
-pub use heap::{CheckpointInfo, Heap, HeapStats, Object};
+pub use heap::{CheckpointInfo, Heap, HeapStats, Object, StructureEvent, STRUCTURE_LOG_CAPACITY};
 pub use ids::{ClassId, ObjectId, StableId};
 pub use snapshot::{HeapSnapshot, ObjectState};
 pub use value::{FieldType, Value};

@@ -12,9 +12,9 @@
 //! producing heavy sharing (many parents per object).
 
 use ickp_heap::{
-    chunk_roots, chunk_roots_weighted, first_touch_plan, first_touch_plan_parallel,
-    partition_roots, partition_roots_parallel, partition_roots_weighted, reachable_from,
-    root_weights, ClassRegistry, FieldType, Heap, ObjectId, Value,
+    chunk_bounds_weighted, chunk_roots, chunk_roots_weighted, first_touch_plan,
+    first_touch_plan_parallel, partition_roots, partition_roots_parallel, reachable_from,
+    ClassRegistry, FieldType, Heap, ObjectId, Value,
 };
 use ickp_prng::Prng;
 use std::collections::{HashMap, HashSet};
@@ -177,13 +177,14 @@ fn parallel_plan_equals_sequential_on_random_dags() {
             assert_eq!(parallel, sequential, "case {case}, {shards} shards");
             assert_eq!(parallel.owner_table(), sequential.owner_table(), "case {case}");
 
-            let weights = root_weights(&heap, &roots, 15).unwrap();
+            let weights = parallel.root_weights(15);
             let chunks = chunk_roots_weighted(&roots, &weights, shards);
             let weighted_seq = first_touch_plan(&heap, chunks.clone()).unwrap();
             let weighted_par = first_touch_plan_parallel(&heap, chunks).unwrap();
             assert_eq!(weighted_par, weighted_seq, "case {case}, {shards} shards (weighted)");
-            let direct = partition_roots_weighted(&heap, &roots, &weights, shards).unwrap();
-            assert_eq!(direct, weighted_seq, "case {case}, {shards} shards (direct weighted)");
+            // Re-chunking a plan by its own weights needs no second pass.
+            let direct = parallel.with_bounds(chunk_bounds_weighted(&weights, shards));
+            assert_eq!(direct, weighted_seq, "case {case}, {shards} shards (re-chunked)");
         }
     }
 }

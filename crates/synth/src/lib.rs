@@ -210,6 +210,31 @@ impl SynthWorld {
         self.elements[structure][list][position]
     }
 
+    /// Rewires list `list` of structure `structure` by swapping its
+    /// elements at positions 1 and 2: `p0 → p1 → p2 → rest` becomes
+    /// `p0 → p2 → p1 → rest`, three barriered stores to `next` that leave
+    /// every element under the same structure. [`SynthWorld::element`]
+    /// follows the new order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates heap errors from the stores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lists are shorter than three elements.
+    pub fn swap_neighbours(&mut self, structure: usize, list: usize) -> Result<(), HeapError> {
+        let order = &mut self.elements[structure][list];
+        assert!(order.len() >= 3, "swapping positions 1 and 2 needs three elements");
+        let (p0, p1, p2) = (order[0], order[1], order[2]);
+        let rest = order.get(3).copied();
+        order.swap(1, 2);
+        let next = self.next_slot;
+        self.heap.set_field(p0, next, Value::Ref(Some(p2)))?;
+        self.heap.set_field(p2, next, Value::Ref(Some(p1)))?;
+        self.heap.set_field(p1, next, Value::Ref(rest))
+    }
+
     /// Total live objects (structures + elements).
     pub fn object_count(&self) -> usize {
         self.config.structures * (1 + self.config.lists_per_structure * self.config.list_len)
@@ -317,6 +342,20 @@ mod tests {
         assert_eq!(w.heap().len(), w.object_count());
         assert_eq!(w.roots().len(), 50);
         assert_eq!(w.object_count(), 50 * (1 + 5 * 5));
+    }
+
+    #[test]
+    fn swapping_neighbours_relinks_the_list_and_its_element_order() {
+        let mut w = SynthWorld::build(SynthConfig::small()).unwrap();
+        let before: Vec<ObjectId> = (0..5).map(|p| w.element(2, 1, p)).collect();
+        w.swap_neighbours(2, 1).unwrap();
+        let mut at = w.heap().field(w.roots()[2], 1).unwrap();
+        for p in 0..5 {
+            assert_eq!(at, Value::Ref(Some(w.element(2, 1, p))), "position {p}");
+            at = w.heap().field(w.element(2, 1, p), w.next_slot()).unwrap();
+        }
+        assert_eq!(at, Value::Ref(None));
+        assert_eq!((w.element(2, 1, 1), w.element(2, 1, 2)), (before[2], before[1]));
     }
 
     #[test]
